@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CapExceeded, DomainError, InputError
 from .model import ProblemInstance
-from .solver import solve_sigma
+from .solver import mode_offsets, occupancy_sums, solve_sigma
 
 DP_MAX_UNITS = 10**4
 DP_MAX_MODES = 10**3
@@ -112,28 +112,18 @@ def grand_partition(
     """log zeta(beta, nu) with its first two nu-derivatives.
 
     Requires nu < beta*lambda_j for every mode. The summands are the
-    mode occupancies: dlog = sum q*occ, d2log = sum q*occ*(occ+1).
+    mode occupancies: dlog = sum q*occ, d2log = sum q*occ*(occ+1). One pass
+    of the solver's occupancy kernel in pole-offset coordinates.
     """
-    log_value = 0.0
-    dlog = 0.0
-    d2log = 0.0
-    for lam, g in zip(instance.mode_weights, instance.degeneracies):
-        x = beta * float(lam) - nu
-        if x <= 0:
-            raise DomainError(
-                f"nu = {nu} not below beta*lambda = {beta * float(lam)}"
-            )
-        t = math.exp(-x)
-        log_value += -g * math.log1p(-t)
-        occ = t / (1.0 - t)
-        dlog += g * occ
-        d2log += g * occ * (occ + 1.0)
-    return GrandPartition(beta, nu, log_value, dlog, d2log)
+    modes = mode_offsets(instance, beta)
+    sums = occupancy_sums(modes, beta, modes.x0(beta, nu))
+    return GrandPartition(beta, nu, sums.log_zeta, sums.count, sums.curvature)
 
 
 def saddle_nu(instance: ProblemInstance, beta: float) -> float:
     """Saddle point of the contour integral: same equation as the count
-    constraint, so this delegates to the occupancy sigma solve."""
+    constraint, so this delegates to the occupancy sigma solve (a Newton
+    iteration in the pole offset at fixed beta)."""
     return solve_sigma(instance, beta)
 
 

@@ -3,16 +3,36 @@
     n_j = 1 / (exp(beta*lambda_j - sigma) - 1),   j = 2..s,
 
 meet the two constraints sum_j q_j*n_j = N (units placed) and
-sum_j q_j*lambda_j*n_j = E (effective budget spent). Both sums are strictly
-monotone: increasing in sigma at fixed beta, and the energy matched at the
-count-consistent sigma(beta) is strictly decreasing in beta. That makes a
-nested bisection exact enough and unconditionally stable: an inner solve for
-sigma at each trial beta, an outer solve for beta on the energy residual.
-beta may be negative (budgets above the uniform mean); at beta = 0 the inner
-solve has the closed form sigma = -log(1 + Q/N) with Q = sum_j q_j.
+sum_j q_j*lambda_j*n_j = E (effective budget spent). The fit is the
+minimum of the strictly convex max-entropy dual
+
+    F(beta, nu) = log zeta(beta, nu) + beta*E - nu*N,
+    log zeta = -sum_j q_j * log(1 - exp(nu - beta*lambda_j)),
+
+at nu = sigma; its gradient is (E - energy sum, count sum - N). One damped
+Newton iteration minimizes it, backtracking on F.
+
+The iteration works in pole-offset coordinates. The pole mode p has the
+smallest beta*lambda_j: lambda_s when beta > 0, lambda_2 when beta < 0.
+With x0 = beta*lambda_p - nu every mode argument is
+
+    x_j = beta*d_j + x0,   d_j = lambda_j - lambda_p,   beta*d_j >= 0,
+
+so the domain is just x0 > 0 with beta kept on its side of 0, and in
+(beta, x0) the Hessian of F is the occupancy covariance
+sum_j q_j*n_j*(n_j+1) * [d_j^2, d_j; d_j, 1]. The differences d_j come
+exactly from the scaled integer weights, and x0 keeps full relative
+precision however close sigma sits to the pole, where an absolute sigma
+has only ulp(beta*lambda_p) of resolution. The sign of beta, and with it
+the pole, is fixed beforehand by an exact comparison of E with the uniform
+(beta = 0) mean energy N*sum(q*lambda)/Q, Q = sum(q); at equality beta = 0
+and sigma = -log(1 + Q/N) in closed form. The fixed-beta count solve
+(solve_sigma) is the one-dimensional Newton iteration in x0 on the same
+occupancy kernel, which the partition layer shares too.
 
 Rounded integer increments come from largest-remainder apportionment with a
-greedy budget repair that shifts single units toward cheaper modes.
+greedy budget repair that pushes units from the leftmost occupied mode to
+its cheaper neighbour, a whole stack at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +56,13 @@ from .model import ProblemInstance, energy_range
 MAX_ITERATIONS = 200
 SPEC_TOL = 1e-9        # contract tolerance, relative to max(1, target)
 TARGET_TOL = 1e-12     # internal goal before falling back to SPEC_TOL
-MAX_BRACKET = float(2**60)
+ARMIJO = 0.25          # sufficient-decrease fraction of the Newton slope
+MIN_STEP = 2.0**-64    # smallest damped step before the iteration stalls
+# Below NOISE times the size of F's terms, a change of F is rounding; full
+# Newton steps are taken there, and STALL_STEPS of them without a better
+# residual end the iteration.
+NOISE = 1e-13
+STALL_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -80,93 +107,123 @@ def occupancy(beta: float, sigma: float, lam: float) -> float:
     return w / -math.expm1(-x)
 
 
-def _mode_arrays(instance: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
-    lam = np.array([float(v) for v in instance.mode_weights])
-    q = np.array([float(g) for g in instance.degeneracies])
-    return lam, q
+class ModeOffsets(NamedTuple):
+    """Modes as exact offsets d_j = lambda_j - lambda_p from a pole mode."""
+
+    d: np.ndarray
+    q: np.ndarray
+    pole: Fraction
+
+    def x0(self, beta: float, sigma: float) -> float:
+        """Pole offset beta*lambda_p - sigma of an absolute sigma (nu)."""
+        pole = beta * float(self.pole)
+        if not pole - sigma > 0:
+            raise DomainError(
+                f"sigma (nu) = {sigma} is not below the pole "
+                f"beta*lambda = {pole}"
+            )
+        return pole - sigma
 
 
-def _sums(
-    lam: np.ndarray, q: np.ndarray, beta: float, sigma: float
-) -> tuple[float, float]:
-    """Count and energy sums over all modes at (beta, sigma)."""
-    x = beta * lam - sigma
-    if x.min() <= 0:
-        raise DomainError(
-            f"sigma = {sigma} is not below the pole at {float((beta * lam).min())}"
-        )
-    w = np.exp(-x)
-    occ = w / -np.expm1(-x)
-    return float(q @ occ), float(q @ (lam * occ))
+class OccupancySums(NamedTuple):
+    """One pass over the modes at (beta, x0); n_j are the occupancies."""
+
+    count: float       # sum q*n
+    energy: float      # sum q*d*n, the energy above N*lambda_p at the count
+    curvature: float   # sum w, w = q*n*(n+1)
+    mean_d: float      # sum w*d / sum w
+    spread: float      # sum w*(d - mean_d)^2
+    log_zeta: float    # -sum q*log(1 - exp(-x)) = sum q*log(1 + n)
+
+
+def mode_offsets(
+    instance: ProblemInstance,
+    beta: float,
+    scaled: Optional[Sequence[int]] = None,
+) -> ModeOffsets:
+    """Offsets from the pole mode of a beta of this sign (lambda_2 for
+    beta < 0, else lambda_s), so that x_j >= x0 on every mode. scaled are
+    the integer mode weights when the caller already holds them."""
+    if scaled is None:
+        scaled = instance.mode_weights_scaled()
+    p = 0 if beta < 0 else len(scaled) - 1
+    d = np.array([w - scaled[p] for w in scaled], dtype=float)
+    return ModeOffsets(
+        d / instance.scale,
+        np.array(instance.degeneracies, dtype=float),
+        instance.mode_weights[p],
+    )
+
+
+def mode_occupancies(modes: ModeOffsets, beta: float, x0: float) -> np.ndarray:
+    """n_j = 1/(exp(x_j) - 1) at x_j = beta*d_j + x0 (without q_j)."""
+    x = beta * modes.d + x0
+    return np.exp(-x) / -np.expm1(-x)
+
+
+def occupancy_sums(modes: ModeOffsets, beta: float, x0: float) -> OccupancySums:
+    """Count, energy, curvature and log zeta of one occupancy pass.
+
+    Requires x0 > 0 with beta on the side of 0 the pole was chosen for.
+    Trial points next to the pole may overflow the curvature to inf; the
+    dual value is then inf too, and the line search rejects the point.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        occ = mode_occupancies(modes, beta, x0)
+        qn = modes.q * occ
+        w = qn * (occ + 1.0)
+        curvature = float(w.sum())
+        mean_d = float(w @ modes.d) / curvature if curvature > 0 else 0.0
+        spread = float(w @ np.square(modes.d - mean_d))
+        # -log(1 - exp(-x)) = log(1 + n), accurate for small and large n
+        log_zeta = float(modes.q @ np.log1p(occ))
+    return OccupancySums(
+        float(qn.sum()), float(qn @ modes.d), curvature, mean_d, spread,
+        log_zeta,
+    )
 
 
 def count_sum(instance: ProblemInstance, beta: float, sigma: float) -> float:
     """sum_j q_j * n_j over modes 2..s."""
-    lam, q = _mode_arrays(instance)
-    return _sums(lam, q, beta, sigma)[0]
+    modes = mode_offsets(instance, beta)
+    return occupancy_sums(modes, beta, modes.x0(beta, sigma)).count
 
 
 def energy_sum(instance: ProblemInstance, beta: float, sigma: float) -> float:
     """sum_j q_j * lambda_j * n_j over modes 2..s."""
-    lam, q = _mode_arrays(instance)
-    return _sums(lam, q, beta, sigma)[1]
+    modes = mode_offsets(instance, beta)
+    sums = occupancy_sums(modes, beta, modes.x0(beta, sigma))
+    return sums.energy + float(modes.pole) * sums.count
 
 
-def _solve_sigma_arrays(
-    lam: np.ndarray, q: np.ndarray, n: int, beta: float
-) -> tuple[float, float, float]:
-    """Inner solve: sigma with count_sum = n at fixed beta.
+def solve_offset(modes: ModeOffsets, n: int, beta: float) -> float:
+    """Pole offset x0 with count sum = n at fixed beta.
 
-    Returns (sigma, count residual, energy at sigma). The count sum rises
-    strictly from 0 to infinity as sigma approaches the pole
-    min_j beta*lambda_j from below, so bracket expansion cannot fail.
+    The count sum is convex and strictly decreasing in x0, so Newton steps
+    started left of the root approach it monotonically from the left with
+    no damping. At x0 = log(1 + 1/n) the pole mode alone holds n units,
+    which puts the start left of the root.
     """
-    pole = float((beta * lam).min())
-    spec = SPEC_TOL * max(1.0, float(n))
     target = TARGET_TOL * max(1.0, float(n))
-
-    delta = 1.0
-    c_hi, e_hi = _sums(lam, q, beta, pole - delta)
-    guard = 0
-    while c_hi < n:
-        delta *= 0.5
-        c_hi, e_hi = _sums(lam, q, beta, pole - delta)
-        guard += 1
-        if guard > MAX_ITERATIONS:
-            raise NoConvergence("sigma upper bracket expansion stalled")
-    offset = delta
-    c_lo, e_lo = c_hi, e_hi
-    while c_lo > n:
-        offset *= 2.0
-        if offset > MAX_BRACKET:
-            raise NoConvergence("sigma lower bracket exceeded 2^60")
-        c_lo, e_lo = _sums(lam, q, beta, pole - offset)
-
-    lo, hi = pole - offset, pole - delta
-    best = (abs(c_lo - n), pole - offset, c_lo - n, e_lo)
-    if abs(c_hi - n) < best[0]:
-        best = (abs(c_hi - n), pole - delta, c_hi - n, e_hi)
-    if best[0] <= target:
-        return best[1], best[2], best[3]
-
+    spec = SPEC_TOL * max(1.0, float(n))
+    x0 = math.log1p(1.0 / n)
+    best = (math.inf, x0, 0.0)
     for _ in range(MAX_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # no representable midpoint left
-        c, e = _sums(lam, q, beta, mid)
-        r = c - n
-        if abs(r) < best[0]:
-            best = (abs(r), mid, r, e)
+        sums = occupancy_sums(modes, beta, x0)
+        r = sums.count - n
+        if abs(r) >= best[0]:
+            break  # rounding level: the residual no longer shrinks
+        best = (abs(r), x0, r)
         if abs(r) <= target:
-            return mid, r, e
-        if c < n:
-            lo = mid
-        else:
-            hi = mid
+            return x0
+        step = x0 + r / sums.curvature
+        if step == x0 or step <= 0:
+            break
+        x0 = step
     if best[0] <= spec:
-        return best[1], best[2], best[3]
+        return best[1]
     raise NoConvergence(
-        f"sigma bisection residual {best[2]:.3e} above tolerance {spec:.3e}"
+        f"sigma Newton residual {best[2]:.3e} above tolerance {spec:.3e}"
     )
 
 
@@ -174,13 +231,12 @@ def solve_sigma(instance: ProblemInstance, beta: float) -> float:
     """Solve count_sum(beta, sigma) = n for sigma at fixed beta."""
     if instance.n == 0:
         raise DegenerateBoundary("sigma solve needs at least one increment")
-    lam, q = _mode_arrays(instance)
-    sigma, _, _ = _solve_sigma_arrays(lam, q, instance.n, beta)
-    return sigma
+    modes = mode_offsets(instance, beta)
+    return beta * float(modes.pole) - solve_offset(modes, instance.n, beta)
 
 
 def solve_params(instance: ProblemInstance) -> ThermoParams:
-    """Outer solve: (beta, sigma) meeting both count and energy constraints.
+    """(beta, sigma) meeting both count and energy constraints.
 
     Requires E strictly inside the attainable energy range; boundary or
     empty instances raise DegenerateBoundary (callers should fall back to a
@@ -196,72 +252,67 @@ def solve_params(instance: ProblemInstance) -> ThermoParams:
             f"energy range ({low}, {high}); no interior solution exists"
         )
 
-    lam, q = _mode_arrays(instance)
     n = instance.n
-    e_target = float(e_exact)
-    spec = SPEC_TOL * max(1.0, abs(e_target))
-    target = TARGET_TOL * max(1.0, abs(e_target))
+    scaled = instance.mode_weights_scaled()
+    total_q = sum(instance.degeneracies)
+    # E*Q against N*sum(q*lambda): beta > 0 below the uniform mean energy.
+    mean_gap = n * sum(g * w for g, w in zip(instance.degeneracies, scaled)) \
+        - e_exact * instance.scale * total_q
+    sign = (mean_gap > 0) - (mean_gap < 0)
+    modes = mode_offsets(instance, sign, scaled)
+    lam_p = float(modes.pole)
+    e_shift = float(e_exact - n * modes.pole)
+    n_scale = max(1.0, float(n))
+    e_scale = max(1.0, abs(float(e_exact)))
 
-    def evaluate(beta: float) -> tuple[float, float, float]:
-        sigma, rn, energy = _solve_sigma_arrays(lam, q, n, beta)
-        return sigma, rn, energy - e_target
-
-    # beta = 0 admits a closed-form sigma; also the starting point for the
-    # bracket because the energy gap's sign picks the search direction.
-    sigma0 = -math.log1p(float(q.sum()) / n)
-    c0, e0 = _sums(lam, q, 0.0, sigma0)
-    g0 = e0 - e_target
-    if abs(g0) <= target:
-        return ThermoParams(0.0, sigma0, c0 - n, g0)
-
-    if g0 > 0:  # energy too high at beta = 0: need beta > 0
-        lo, g_lo, lo_state = 0.0, g0, (sigma0, c0 - n)
-        hi = 1.0
-        sigma_hi, rn_hi, g_hi = evaluate(hi)
-        while g_hi > 0:
-            lo, g_lo, lo_state = hi, g_hi, (sigma_hi, rn_hi)
-            hi *= 2.0
-            if hi > MAX_BRACKET:
-                raise NoConvergence("beta upper bracket exceeded 2^60")
-            sigma_hi, rn_hi, g_hi = evaluate(hi)
-        hi_state = (sigma_hi, rn_hi)
-    else:  # energy too low: need beta < 0
-        hi, g_hi, hi_state = 0.0, g0, (sigma0, c0 - n)
-        lo = -1.0
-        sigma_lo, rn_lo, g_lo = evaluate(lo)
-        while g_lo < 0:
-            hi, g_hi, hi_state = lo, g_lo, (sigma_lo, rn_lo)
-            lo *= 2.0
-            if lo < -MAX_BRACKET:
-                raise NoConvergence("beta lower bracket exceeded -2^60")
-            sigma_lo, rn_lo, g_lo = evaluate(lo)
-        lo_state = (sigma_lo, rn_lo)
-
-    # g(lo) > 0 > g(hi), g strictly decreasing in beta.
-    best = (abs(g_lo), lo, lo_state[0], lo_state[1], g_lo)
-    if abs(g_hi) < best[0]:
-        best = (abs(g_hi), hi, hi_state[0], hi_state[1], g_hi)
-    if best[0] <= target:
-        return ThermoParams(best[1], best[2], best[3], best[4])
-
+    beta, x0 = 0.0, math.log1p(total_q / n)
+    sums = occupancy_sums(modes, beta, x0)
+    dual = sums.log_zeta + x0 * n
+    best = (math.inf, beta, x0, 0.0, 0.0)
+    stalled = 0
     for _ in range(MAX_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if mid <= min(lo, hi) or mid >= max(lo, hi):
+        r_n = sums.count - n
+        r_e = (sums.energy - e_shift) + lam_p * r_n
+        err = max(abs(r_n) / n_scale, abs(r_e) / e_scale)
+        if err < best[0]:
+            best, stalled = (err, beta, x0, r_n, r_e), 0
+        if err <= TARGET_TOL or sign == 0 or not sums.spread > 0:
             break
-        sigma_m, rn_m, g_m = evaluate(mid)
-        if abs(g_m) < best[0]:
-            best = (abs(g_m), mid, sigma_m, rn_m, g_m)
-        if abs(g_m) <= target:
-            return ThermoParams(mid, sigma_m, rn_m, g_m)
-        if g_m > 0:
-            lo = mid
+
+        # Newton step on F(beta, x0) = log zeta + beta*E' + x0*N, the
+        # Hessian eliminated through the curvature-weighted mean of d.
+        g_beta, g_x = e_shift - sums.energy, n - sums.count
+        d_beta = (sums.mean_d * g_x - g_beta) / sums.spread
+        d_x = -g_x / sums.curvature - sums.mean_d * d_beta
+        slope = g_beta * d_beta + g_x * d_x
+        noisy = -slope <= NOISE * (
+            abs(sums.log_zeta) + abs(beta * e_shift) + x0 * n
+        )
+        if noisy:
+            stalled += 1
+            if stalled > STALL_STEPS:
+                break
+        t = 1.0
+        while t >= MIN_STEP:
+            b_t, x_t = beta + t * d_beta, x0 + t * d_x
+            if sign * b_t > 0 and x_t > 0:
+                sums_t = occupancy_sums(modes, b_t, x_t)
+                dual_t = sums_t.log_zeta + b_t * e_shift + x_t * n
+                if noisy or dual_t <= dual + ARMIJO * t * slope:
+                    break
+            t *= 0.5
         else:
-            hi = mid
-    if best[0] <= spec:
-        return ThermoParams(best[1], best[2], best[3], best[4])
-    raise NoConvergence(
-        f"beta bisection residual {best[4]:.3e} above tolerance {spec:.3e}"
-    )
+            break  # no damped step lowers F any more
+        if (b_t, x_t) == (beta, x0):
+            break
+        beta, x0, sums, dual = b_t, x_t, sums_t, dual_t
+
+    err, beta, x0, r_n, r_e = best
+    if err > SPEC_TOL:
+        raise NoConvergence(
+            f"dual Newton residual {err:.3e} above tolerance {SPEC_TOL:.0e}"
+        )
+    return ThermoParams(beta, beta * lam_p - x0, r_n, r_e)
 
 
 def predicted_cumulative(
@@ -285,9 +336,11 @@ def build_allocation(
 
     Largest-remainder apportionment: floor every occupancy, then hand the
     missing units to the largest fractional parts (ties toward the larger
-    mode index, i.e. the cheaper tail). If rounding overspends, single units
-    move from the smallest over-occupied mode toward its cheaper neighbour
-    until spending fits; each move lowers spending by exactly one price.
+    mode index, i.e. the cheaper tail). If rounding overspends, units move
+    from the leftmost occupied mode to its cheaper neighbour until spending
+    fits; each unit moved lowers spending by exactly one price. The moves
+    from one mode are taken as one stack, so the repair costs O(s), not
+    O(moves * s).
     """
     s = instance.size
     k = instance.bounds.min_shares
@@ -303,10 +356,10 @@ def build_allocation(
             rounding_shift=0,
         )
 
-    occ = [
-        g * occupancy(params.beta, params.sigma, float(w))
-        for w, g in zip(instance.mode_weights, instance.degeneracies)
-    ]
+    lam_scaled = instance.mode_weights_scaled()
+    modes = mode_offsets(instance, params.beta, lam_scaled)
+    x0 = modes.x0(params.beta, params.sigma)
+    occ = (modes.q * mode_occupancies(modes, params.beta, x0)).tolist()
     m = len(occ)
     parts = [math.floor(v) for v in occ]
     missing = instance.n - sum(parts)
@@ -318,7 +371,6 @@ def build_allocation(
     for j in order[:missing]:
         parts[j] += 1
 
-    lam_scaled = instance.mode_weights_scaled()
     prices_scaled = instance.schedule.scaled()
     scale = instance.scale
     phi_scaled = phi * scale
@@ -331,18 +383,22 @@ def build_allocation(
         p * w for p, w in zip(parts, lam_scaled)
     )
     shift = 0
+    j = 0  # leftmost occupied mode; modes left of it stay empty
     while spend_scaled > phi_scaled:
-        movable = next((j for j in range(m - 1) if parts[j] >= 1), None)
-        if movable is None:
+        while j < m - 1 and parts[j] == 0:
+            j += 1
+        if j == m - 1:
             raise RepairFailed(
                 "all increments already at the cheapest mode but spending "
                 f"{Fraction(spend_scaled, scale)} still exceeds {phi}"
             )
-        parts[movable] -= 1
-        parts[movable + 1] += 1
-        # parts[j] belongs to enterprise j+2; the move saves its price
-        spend_scaled -= prices_scaled[movable + 1]
-        shift += 1
+        # parts[j] belongs to enterprise j+2; each unit moved saves its price
+        price = prices_scaled[j + 1]
+        moved = min(parts[j], -(-(spend_scaled - phi_scaled) // price))
+        parts[j] -= moved
+        parts[j + 1] += moved
+        spend_scaled -= moved * price
+        shift += moved
 
     counts = [k]
     for p in parts:

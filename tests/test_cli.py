@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from bealloc import solver
 from bealloc.cli import main, read_prices
 from bealloc.errors import InputError
 
@@ -226,6 +227,17 @@ def test_exit_code_boundary_budget(capsys, prices_file):
     )
     assert code == 2
     assert "no interior solution" in err
+
+
+def test_exit_code_no_convergence(capsys, prices_file, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
+    code, _, err = run(
+        capsys,
+        ["solve", "--prices", prices_file, "--min-shares", "0",
+         "--max-shares", "2", "--budget", "9.4"],
+    )
+    assert code == 3
+    assert "above tolerance" in err
 
 
 def test_exit_code_cap(capsys, prices_file):

@@ -20,7 +20,7 @@ from bealloc import (
     solve_params,
     solve_sigma,
 )
-from conftest import random_instance
+from conftest import decimal_string, random_instance
 
 LN2 = math.log(2.0)
 
@@ -201,3 +201,70 @@ def test_degenerate_modes_count_with_multiplicity():
     n5 = occupancy(0.0, sigma, 5.0)
     n3 = occupancy(0.0, sigma, 3.0)
     assert 2 * n5 + n3 == pytest.approx(2.0, abs=1e-9)
+
+
+def unit_loop_allocation(inst, params):
+    """Reference allocation: per-mode occupancies and the unit-by-unit
+    repair that rescans from the first mode on every move."""
+    k = inst.bounds.min_shares
+    phi = inst.bounds.budget
+    occ = [
+        g * occupancy(params.beta, params.sigma, float(w))
+        for w, g in zip(inst.mode_weights, inst.degeneracies)
+    ]
+    m = len(occ)
+    parts = [math.floor(v) for v in occ]
+    missing = inst.n - sum(parts)
+    order = sorted(range(m), key=lambda j: (parts[j] - occ[j], -j))
+    for j in order[:missing]:
+        parts[j] += 1
+    prices = inst.schedule.scaled()
+    phi_scaled = int(phi * inst.scale)
+    spend = k * int(inst.weights.values[0] * inst.scale) + sum(
+        p * w for p, w in zip(parts, inst.mode_weights_scaled())
+    )
+    shift = 0
+    while spend > phi_scaled:
+        movable = next(j for j in range(m - 1) if parts[j] >= 1)
+        parts[movable] -= 1
+        parts[movable + 1] += 1
+        spend -= prices[movable + 1]
+        shift += 1
+    counts = [k]
+    for p in parts:
+        counts.append(counts[-1] + p)
+    return tuple(counts), Fraction(spend, inst.scale), shift
+
+
+def assert_matches_unit_loop(inst):
+    params = solve_params(inst)
+    alloc = build_allocation(inst, params)
+    counts, spend, shift = unit_loop_allocation(inst, params)
+    assert (alloc.counts, alloc.spend, alloc.rounding_shift) == (
+        counts, spend, shift
+    )
+    return shift
+
+
+def test_stack_repair_matches_unit_loop_on_suites():
+    # the criterion-2 suite and the random-invariants instances
+    for seed, count, s_max, n_max in ((20260823, 1000, 50, 30),
+                                      (99, 300, 20, 20)):
+        rng = random.Random(seed)
+        moves = sum(
+            assert_matches_unit_loop(random_instance(rng, s_max, n_max))
+            for _ in range(count)
+        )
+        assert moves > 0
+
+
+def test_stack_repair_matches_unit_loop_large_s():
+    # s = 1000, n = 10^4 at a quarter of the energy range: over 10^4 moves
+    rng = random.Random(8)
+    cents = [rng.randint(1, 10000) for _ in range(1000)]
+    prices = [f"{c // 100}.{c % 100:02d}" for c in cents]
+    n = 10_000
+    low, high = n * cents[-1], n * sum(cents[1:])
+    budget = Fraction(low + (high - low) // 4, 100)
+    inst = build_instance(prices, 0, n, decimal_string(budget))
+    assert assert_matches_unit_loop(inst) >= 10_000
