@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
@@ -82,6 +83,11 @@ class PriceSchedule:
 
     def scaled(self) -> tuple[int, ...]:
         """Prices as exact integers at the schedule scale."""
+        return self._scaled
+
+    @cached_property
+    def _scaled(self) -> tuple[int, ...]:
+        # computed once per (frozen) schedule; the solver asks repeatedly
         return tuple(int(p * self.scale) for p in self.prices)
 
 
@@ -202,6 +208,13 @@ class ProblemInstance:
         return self.schedule.scale
 
     def mode_weights_scaled(self) -> tuple[int, ...]:
+        """Mode weights lambda_2..lambda_s as exact integers at the scale."""
+        return self._mode_weights_scaled
+
+    @cached_property
+    def _mode_weights_scaled(self) -> tuple[int, ...]:
+        # computed once per (frozen) instance: the solver, the partition
+        # layer and every Composition.energy call ask for it
         return tuple(int(v * self.scale) for v in self.mode_weights)
 
     def effective_budget_scaled(self) -> int:

@@ -4,9 +4,17 @@ Z(beta, N) sums exp(-beta * energy) over all compositions of N units on the
 modes 2..s (no budget cut). The exact value comes from the one-dimensional
 recurrence
 
-    Z_i(n) = Z_{i-1}(n) + exp(-beta*lambda_i) * Z_i(n-1),
+    Z_i(k) = Z_{i-1}(k) + exp(-beta*lambda_i) * Z_i(k-1).
 
-run in log space so nothing ever over- or underflows. The grand sum
+The pole weight exp(-beta*lambda_p) of the solver's pole mode is factored
+out of every unit, Z(N) = exp(-beta*lambda_p*N) * z(N), which leaves each
+mode the ratio r = exp(-beta*d) <= 1, d = lambda_i - lambda_p exact from the
+scaled integer weights. Each mode's update is then a geometric prefix sum,
+
+    z_i(k) = r^k * sum_{j<=k} r^(-j) * z_{i-1}(j),
+
+one cumulative log-add-exp over the units per mode, in log space so
+nothing ever over- or underflows. The grand sum
 zeta(beta, nu) = prod_j (1 - exp(nu - beta*lambda_j))^(-q_j) ties Z to the
 occupancy solver: the saddle point nu* satisfies the same equation as the
 count constraint sigma, and the Gaussian approximation around it gives
@@ -74,36 +82,25 @@ class PartitionEstimate:
     nu_star: float
 
 
-def _expanded_float_modes(instance: ProblemInstance) -> list[float]:
-    out: list[float] = []
-    for w, g in zip(instance.mode_weights, instance.degeneracies):
-        out.extend([float(w)] * g)
-    return out
-
-
-def _logaddexp(a: float, b: float) -> float:
-    if a < b:
-        a, b = b, a
-    if b == -math.inf:
-        return a
-    return a + math.log1p(math.exp(b - a))
-
-
 def z_exact(instance: ProblemInstance, beta: float) -> ScaledReal:
     """Exact restricted partition sum over all compositions of n units."""
-    lams = _expanded_float_modes(instance)
     n = instance.n
-    if n > DP_MAX_UNITS or len(lams) > DP_MAX_MODES:
+    m = sum(instance.degeneracies)
+    if n > DP_MAX_UNITS or m > DP_MAX_MODES:
         raise CapExceeded(
             f"partition recurrence capped at {DP_MAX_UNITS} units / "
-            f"{DP_MAX_MODES} modes, got {n} / {len(lams)}"
+            f"{DP_MAX_MODES} modes, got {n} / {m}"
         )
-    log_z = [0.0] + [-math.inf] * n
-    for lam in lams:
-        lw = -beta * lam
-        for i in range(1, n + 1):
-            log_z[i] = _logaddexp(log_z[i], lw + log_z[i - 1])
-    return ScaledReal.from_log(log_z[n])
+    modes = mode_offsets(instance, beta)
+    k = np.arange(n + 1, dtype=float)
+    log_z = np.full(n + 1, -np.inf)
+    log_z[0] = 0.0
+    # log r = -beta*d <= 0 per mode; the pole energy beta*lambda_p*n is
+    # added once at the end, so the prefix sums carry only the offsets
+    for log_r in np.repeat(-beta * modes.d, instance.degeneracies):
+        tilt = k * log_r
+        log_z = tilt + np.logaddexp.accumulate(log_z - tilt)
+    return ScaledReal.from_log(log_z[n] - beta * float(modes.pole) * n)
 
 
 def grand_partition(
@@ -156,12 +153,8 @@ def z_integral(
     """
     if grid < MIN_GRID:
         raise InputError(f"grid must be >= {MIN_GRID}, got {grid}")
-    lams = np.array(_expanded_float_modes(instance))
-    x = beta * lams - nu
-    if x.min() <= 0:
-        raise DomainError(
-            f"nu = {nu} not below the pole at {float((beta * lams).min())}"
-        )
+    modes = mode_offsets(instance, beta)
+    x = np.repeat(beta * modes.d + modes.x0(beta, nu), instance.degeneracies)
     n = instance.n
     alphas = -math.pi + (2.0 * math.pi / grid) * np.arange(grid)
     t = np.exp(-x)[:, None] * np.exp(1j * alphas)[None, :]

@@ -321,12 +321,10 @@ def predicted_cumulative(
     """Occupancy prediction for the cumulative increment sum over modes 2..l."""
     if l < 2 or l > instance.size:
         raise IndexRange(f"l = {l} outside 2..{instance.size}")
-    total = 0.0
-    for j in range(l - 1):
-        total += instance.degeneracies[j] * occupancy(
-            params.beta, params.sigma, float(instance.mode_weights[j])
-        )
-    return total
+    modes = mode_offsets(instance, params.beta)
+    x0 = modes.x0(params.beta, params.sigma)
+    occ = modes.q * mode_occupancies(modes, params.beta, x0)
+    return float(occ[: l - 1].sum())
 
 
 def build_allocation(

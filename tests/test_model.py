@@ -135,6 +135,22 @@ def test_scaled_views_are_exact_ints():
     assert inst.effective_budget_scaled() == 1_000_000
 
 
+def test_scaled_views_are_computed_once():
+    rng = random.Random(4321)
+    for _ in range(20):
+        inst = random_instance(rng, s_max=20, n_max=20)
+        weights = inst.mode_weights_scaled()
+        prices = inst.schedule.scaled()
+        assert inst.mode_weights_scaled() is weights
+        assert inst.schedule.scaled() is prices
+        assert weights == tuple(
+            int(v * inst.scale) for v in inst.weights.values[1:]
+        )
+        assert prices == tuple(
+            int(p * inst.scale) for p in inst.schedule.prices
+        )
+
+
 def test_random_instances_satisfy_invariants():
     rng = random.Random(1234)
     for _ in range(200):

@@ -20,7 +20,8 @@ from bealloc import (
     z_integral,
     z_saddle,
 )
-from conftest import random_instance
+from bealloc.partition import DP_MAX_MODES, DP_MAX_UNITS
+from conftest import decimal_string, random_instance
 
 LN2 = math.log(2.0)
 
@@ -77,6 +78,56 @@ def test_z_exact_against_brute_force():
         assert z_exact(inst, beta).log == pytest.approx(
             brute_force_log_z(inst, beta), rel=1e-12, abs=1e-12
         )
+
+
+def reference_log_z(inst, beta):
+    """The unit-by-unit log-add-exp loop over absolute mode weights that the
+    per-mode prefix evaluation replaced."""
+    lams = []
+    for w, g in zip(inst.mode_weights, inst.degeneracies):
+        lams.extend([float(w)] * g)
+    log_z = [0.0] + [-math.inf] * inst.n
+    for lam in lams:
+        lw = -beta * lam
+        for i in range(1, inst.n + 1):
+            a, b = log_z[i], lw + log_z[i - 1]
+            if a < b:
+                a, b = b, a
+            if b > -math.inf:
+                a += math.log1p(math.exp(b - a))
+            log_z[i] = a
+    return log_z[inst.n]
+
+
+def test_z_exact_matches_reference_loop():
+    # both signs of beta and beta = 0, degenerate modes, up to ~60 expanded
+    # modes and a few hundred units
+    rng = random.Random(89)
+    for case in range(30):
+        s = rng.randint(2, 31)
+        n = rng.choice([1, rng.randint(2, 40), rng.randint(100, 300)])
+        cents = [rng.randint(1, 10000) for _ in range(s)]
+        prices = [decimal_string(Fraction(c, 100)) for c in cents]
+        degeneracies = [rng.randint(1, 2) for _ in range(s - 1)]
+        budget = decimal_string(n * Fraction(sum(cents), 100))
+        inst = build_instance(prices, 0, n, budget, degeneracies=degeneracies)
+        beta = (case % 3 - 1) * 10.0 ** rng.uniform(-4.0, 0.0)
+        assert z_exact(inst, beta).log == pytest.approx(
+            reference_log_z(inst, beta), rel=1e-12, abs=1e-12
+        )
+
+
+def test_z_exact_beta_zero_at_the_caps():
+    # DP_MAX_MODES expanded modes (one doubled) and DP_MAX_UNITS units:
+    # every composition weighs 1, so Z = C(n + m - 1, m - 1)
+    n, m = DP_MAX_UNITS, DP_MAX_MODES
+    inst = build_instance(
+        ["1"] * m, 0, n, str(n * m), degeneracies=[2] + [1] * (m - 2)
+    )
+    assert sum(inst.degeneracies) == m
+    assert z_exact(inst, 0.0).log == pytest.approx(
+        math.log(math.comb(n + m - 1, m - 1)), rel=1e-12
+    )
 
 
 def test_z_exact_respects_caps():
