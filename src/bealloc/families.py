@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -59,15 +60,14 @@ def unit_price_family(
 def with_total(instance: ProblemInstance, n: int) -> ProblemInstance:
     """Copy an instance with n increments and a slack budget.
 
-    Used by the partition doubling schedule, where only the mode weights and
-    the unit total matter.
+    Used by the partition doubling schedule, where only the mode weights,
+    their degeneracies and the unit total matter.
     """
     k = instance.bounds.min_shares
     lam1 = instance.weights.values[0]
-    return from_fractions(
-        instance.schedule.prices,
-        k,
-        k + n,
-        (k + n) * lam1,
-        instance.scale,
+    return replace(
+        instance,
+        bounds=InvestmentBounds(k, k + n, (k + n) * lam1),
+        n=n,
+        effective_budget=n * lam1,
     )

@@ -217,6 +217,16 @@ class ProblemInstance:
         # layer and every Composition.energy call ask for it
         return tuple(int(v * self.scale) for v in self.mode_weights)
 
+    @cached_property
+    def _expanded_modes(self) -> tuple[int, ...]:
+        # the scaled mode weights with each mode repeated q times: the
+        # oracle's columns, which every Composition.energy call reads
+        return tuple(
+            w
+            for w, q in zip(self.mode_weights_scaled(), self.degeneracies)
+            for _ in range(q)
+        )
+
     def effective_budget_scaled(self) -> int:
         scaled = self.effective_budget * self.scale
         if scaled.denominator != 1:

@@ -148,10 +148,9 @@ def test_verify_report_frozen_counts(capsys):
     # solved beta is 0 on this family, so each weight is an exact count
     # ratio: 50/114, 3469/5720, 218048/331653, 13419345/18721080
     shells = [r["shell_weight"] for r in rows]
-    assert shells == pytest.approx(
-        [50 / 114, 3469 / 5720, 218048 / 331653, 13419345 / 18721080],
-        rel=1e-12,
-    )
+    assert shells == [
+        50 / 114, 3469 / 5720, 218048 / 331653, 13419345 / 18721080
+    ]
     assert report["deviation_nonincreasing"] is True
     # the shell weights grow along this family; the report must say so
     assert report["shell_weight_decreasing"] is False

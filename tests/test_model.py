@@ -149,6 +149,14 @@ def test_scaled_views_are_computed_once():
         assert prices == tuple(
             int(p * inst.scale) for p in inst.schedule.prices
         )
+        modes = inst._expanded_modes
+        assert inst._expanded_modes is modes
+        assert modes == weights
+    degenerate = build_instance(["1", "2", "3"], 0, 2, "8", degeneracies=[2, 1])
+    assert degenerate._expanded_modes == tuple(
+        w * degenerate.scale for w in (5, 5, 3)
+    )
+    assert degenerate._expanded_modes is degenerate._expanded_modes
 
 
 def test_random_instances_satisfy_invariants():

@@ -10,6 +10,7 @@ from bealloc import (
     CapExceeded,
     Composition,
     DegenerateBoundary,
+    DomainError,
     IndexRange,
     InputError,
     LowAcceptance,
@@ -26,7 +27,7 @@ from bealloc import (
     unconstrained_count,
     unit_price_family,
 )
-from conftest import random_instance
+from conftest import decimal_string, random_instance
 
 LN2 = math.log(2.0)
 UNIFORM = ThermoParams(0.0, -LN2, 0.0, 0.0)
@@ -172,6 +173,99 @@ def test_degenerate_modes_match_expanded_instance():
         assert Composition(parts).energy(inst) <= 8
 
 
+def test_degenerate_modes_against_direct_walk():
+    # q > 1: every aggregate of the memoized walk against the visitor walk
+    rng = random.Random(58)
+    for _ in range(20):
+        base = random_instance(rng, s_max=5, n_max=5)
+        q = [rng.randint(1, 3) for _ in base.mode_weights]
+        inst = build_instance(
+            [decimal_string(p) for p in base.schedule.prices],
+            base.bounds.min_shares,
+            base.bounds.max_shares,
+            decimal_string(base.bounds.budget),
+            degeneracies=q,
+        )
+        comps = list(iter_compositions(inst))
+        assert count_configurations(inst) == len(comps)
+
+        params = solve_params(inst)
+        l = rng.randint(2, inst.size)
+        stats = cumulative_stats(inst, params, l, epsilon=-0.5)
+        lead = sum(q[: l - 1])
+        center = sum(
+            q[j]
+            * (1.0 / (math.exp(params.beta * float(inst.mode_weights[j])
+                               - params.sigma) - 1.0))
+            for j in range(l - 1)
+        )
+        delta = float(inst.n) ** 0.25
+        bad = sum(
+            1 for c in comps if abs(sum(c.parts[:lead]) - center) >= delta
+        )
+        assert stats.deviation_fraction == pytest.approx(bad / len(comps))
+        for idx in range(inst.size - 1):
+            cols = sum(q[: idx + 1])
+            total = sum(sum(c.parts[:cols]) for c in comps)
+            assert stats.cumulative_mean[idx] == Fraction(total, len(comps))
+
+        beta = rng.choice([-0.3, 0.2, 0.9])
+        threshold = inst.effective_budget - Fraction(float(inst.n) ** 0.75)
+        expected = math.fsum(
+            math.exp(-beta * float(c.energy(inst)))
+            for c in comps
+            if c.energy(inst) <= threshold
+        ) / len(comps)
+        assert low_energy_shell_weight(inst, beta) == pytest.approx(
+            expected, rel=1e-12, abs=0.0
+        )
+
+
+def old_shell_weight(inst, beta, epsilon=0.25):
+    """The former member-by-member shell sum, kept as a reference."""
+    lams = inst.mode_weights_scaled()
+    budget = inst.effective_budget_scaled()
+    offset = float(inst.n) ** (0.5 + epsilon)
+    threshold = inst.effective_budget - Fraction(offset)
+    shell_budget = min(math.floor(threshold * inst.scale), budget)
+    lmin = lams[-1]
+    m = len(lams)
+
+    def rec(i, units, left, acc):
+        if units == 0:
+            yield acc
+            return
+        if i == m - 1:
+            yield acc + units * lams[i]
+            return
+        span = lams[i] - lmin
+        vmax = units if span == 0 else min(units, (left - units * lmin) // span)
+        for v in range(vmax + 1):
+            e = v * lams[i]
+            yield from rec(i + 1, units - v, left - e, acc + e)
+
+    scale = float(inst.scale)
+    weight = math.fsum(
+        math.exp(-beta * (e / scale)) for e in rec(0, inst.n, shell_budget, 0)
+    )
+    return weight / count_configurations(inst)
+
+
+def test_shell_weight_matches_member_by_member_sum():
+    inst = unit_price_family(12, "mean")
+    for beta in (-0.05, 0.05):
+        assert low_energy_shell_weight(inst, beta) == pytest.approx(
+            old_shell_weight(inst, beta), rel=1e-12, abs=0.0
+        )
+
+
+def test_shell_weight_beyond_float_range():
+    # the shell holds energies up to 4900, and exp(0.5 * 4900) overflows
+    inst = build_instance(["100"] * 8, 0, 8, "5000")
+    with pytest.raises(DomainError):
+        low_energy_shell_weight(inst, -0.5)
+
+
 def test_shell_weight_hand_case():
     # threshold 10 - 2^0.75 ~ 8.32 keeps energies 6 and 8 out of the 3
     inst = build_example("10")
@@ -208,7 +302,7 @@ def test_shell_weight_against_direct_sum():
         expected = math.fsum(
             math.exp(-beta * float(c.energy(inst))) for c in members
         ) / len(comps)
-        assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_shell_weight_beta_zero_is_count_ratio():

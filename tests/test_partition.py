@@ -16,6 +16,7 @@ from bealloc import (
     iter_compositions,
     saddle_nu,
     solve_sigma,
+    with_total,
     z_exact,
     z_integral,
     z_saddle,
@@ -45,6 +46,16 @@ def brute_force_log_z(inst, beta):
     xs = [-beta * float(c.energy(slack)) for c in iter_compositions(slack)]
     shift = max(xs)
     return shift + math.log(math.fsum(math.exp(x - shift) for x in xs))
+
+
+def test_with_total_keeps_degeneracies():
+    # the doubling copy must keep q = (2, 1), or z_exact loses a column
+    inst = build_instance(["1", "2", "3"], 0, 2, "8", degeneracies=[2, 1])
+    copy = with_total(inst, 4)
+    direct = build_instance(["1", "2", "3"], 0, 4, "24", degeneracies=[2, 1])
+    assert copy.degeneracies == (2, 1)
+    for beta in (-0.4, 0.0, 0.3):
+        assert z_exact(copy, beta) == z_exact(direct, beta)
 
 
 def test_z_exact_beta_zero_counts_compositions():
