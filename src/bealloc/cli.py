@@ -34,7 +34,13 @@ from .errors import (
     NoConvergence,
     RepairFailed,
 )
-from .model import DEFAULT_SCALE, ProblemInstance, build_instance, parse_decimal
+from .model import (  # noqa: F401  (perfbench wraps cli.parse_decimal)
+    DEFAULT_SCALE,
+    ProblemInstance,
+    build_instance,
+    format_scaled,
+    parse_decimal,
+)
 
 _VERIFY_EXACT_N = (6, 9, 12, 15)
 _VERIFY_SAMPLED_N = (6, 9, 12, 15, 20, 25)
@@ -104,15 +110,16 @@ def read_prices(path: str) -> list[str]:
 
 
 def _instance_doc(inst: ProblemInstance) -> dict:
+    scale = inst.scale
     return {
-        "prices": [str(p) for p in inst.schedule.prices],
-        "scale": inst.scale,
+        "prices": [format_scaled(v, scale) for v in inst.schedule.numerators],
+        "scale": scale,
         "k": inst.bounds.min_shares,
         "m": inst.bounds.max_shares,
-        "budget": str(inst.bounds.budget),
-        "lambda": [str(v) for v in inst.weights.values],
+        "budget": format_scaled(inst.bounds.budget_numerator, scale),
+        "lambda": [format_scaled(v, scale) for v in inst.weights.numerators],
         "n": inst.n,
-        "e": str(inst.effective_budget),
+        "e": format_scaled(inst.effective_budget_scaled(), scale),
     }
 
 
@@ -140,8 +147,12 @@ def cmd_solve(cfg: RunConfig) -> dict:
     inst = _build_from_config(cfg)
     params = solver.solve_params(inst)
     alloc = solver.build_allocation(inst, params)
-    k = inst.bounds.min_shares
-    first_price_budget = inst.bounds.budget - k * inst.schedule.prices[0]
+    scale = inst.scale
+    effective = inst.effective_budget_scaled()
+    first_price_budget = (
+        inst.bounds.budget_numerator
+        - inst.bounds.min_shares * inst.schedule.numerators[0]
+    )
     return {
         "command": "solve",
         "instance": _instance_doc(inst),
@@ -156,8 +167,10 @@ def cmd_solve(cfg: RunConfig) -> dict:
         "budget_residual": str(alloc.budget_residual),
         "rounding_shift": alloc.rounding_shift,
         "deviation_budget": float(inst.n) ** 0.75 if inst.n else 0.0,
-        "effective_budget": str(inst.effective_budget),
-        "effective_budget_first_price": str(first_price_budget),
+        "effective_budget": format_scaled(effective, scale),
+        "effective_budget_first_price": format_scaled(
+            first_price_budget, scale
+        ),
     }
 
 
@@ -290,31 +303,17 @@ def cmd_zcheck(cfg: RunConfig) -> dict:
     if cfg.min_shares is None or cfg.max_shares is None:
         raise InputError("zcheck requires --min-shares and --max-shares")
     prices = read_prices(cfg.prices_path)
-    if cfg.budget is not None:
-        inst = build_instance(
-            prices, cfg.min_shares, cfg.max_shares, cfg.budget, scale=cfg.scale
-        )
-        beta = (
-            cfg.beta_override
-            if cfg.beta_override is not None
-            else solver.solve_params(inst).beta
-        )
-    else:
-        if cfg.beta_override is None:
-            raise InputError("zcheck needs --beta when --budget is omitted")
-        parsed = [
-            parse_decimal(p, cfg.scale, f"price {i + 1}")
-            for i, p in enumerate(prices)
-        ]
-        lam1 = sum(parsed)
-        inst = families.from_fractions(
-            parsed,
-            cfg.min_shares,
-            cfg.max_shares,
-            cfg.max_shares * lam1,
-            cfg.scale,
-        )
-        beta = cfg.beta_override
+    if cfg.budget is None and cfg.beta_override is None:
+        raise InputError("zcheck needs --beta when --budget is omitted")
+    # without --budget the budget sits at M*lambda_1, where it never binds
+    inst = build_instance(
+        prices, cfg.min_shares, cfg.max_shares, cfg.budget, scale=cfg.scale
+    )
+    beta = (
+        cfg.beta_override
+        if cfg.beta_override is not None
+        else solver.solve_params(inst).beta
+    )
     if inst.n < 1:
         raise InputError("zcheck needs at least one increment (M > K)")
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -23,16 +22,11 @@ def from_fractions(
     scale: int = DEFAULT_SCALE,
 ) -> ProblemInstance:
     """Assemble a validated instance directly from exact rationals."""
-    schedule = PriceSchedule(tuple(Fraction(p) for p in prices), scale)
-    bounds = InvestmentBounds(min_shares, max_shares, Fraction(budget))
-    weights = TailWeights.from_schedule(schedule)
-    effective = bounds.budget - bounds.min_shares * weights.values[0]
+    schedule = PriceSchedule(prices, scale)
     return ProblemInstance(
-        schedule=schedule,
-        bounds=bounds,
-        weights=weights,
-        n=bounds.span,
-        effective_budget=effective,
+        schedule,
+        InvestmentBounds(min_shares, max_shares, budget),
+        TailWeights.from_schedule(schedule),
     )
 
 
@@ -64,10 +58,10 @@ def with_total(instance: ProblemInstance, n: int) -> ProblemInstance:
     their degeneracies and the unit total matter.
     """
     k = instance.bounds.min_shares
-    lam1 = instance.weights.values[0]
-    return replace(
-        instance,
-        bounds=InvestmentBounds(k, k + n, (k + n) * lam1),
-        n=n,
-        effective_budget=n * lam1,
+    lam1 = instance.weights.numerators[0]
+    return ProblemInstance(
+        instance.schedule,
+        InvestmentBounds.from_scaled(k, k + n, (k + n) * lam1, instance.scale),
+        instance.weights,
+        degeneracies=instance.degeneracies,
     )

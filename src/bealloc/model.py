@@ -12,16 +12,24 @@ the marginal cost of raising every count from position i onward by one.
 Total spending is K*lambda_1 plus the mode energy sum(N_i * lambda_i), so a
 budget Phi leaves the effective budget E = Phi - K*lambda_1 for the modes.
 
-All prices are decimal strings scaled to exact integers (denominator
-`scale`); feasibility comparisons never go through floats.
+An instance stores every price, tail weight and budget as an exact integer
+numerator over one common denominator, the instance `scale`. Decimal
+strings are parsed straight to those integers, the tail weights are integer
+suffix sums, and every validation is an integer comparison; feasibility
+decisions never go through floats. The Fraction attributes (`prices`,
+`values`, `mode_weights`, `budget`, `effective_budget`) are views derived
+from the integers on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from itertools import accumulate
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     BoundsInverted,
@@ -35,6 +43,26 @@ from .errors import (
 
 DEFAULT_SCALE = 10**6
 
+# Digits with an optional fraction part, or a bare fraction part: the plain
+# decimals read without a Fraction. [0-9] keeps underscores and the digits
+# of other scripts, which int() would also take, on the Fraction route.
+_PLAIN_DECIMAL = re.compile(r"([0-9]*)(?:\.([0-9]*))?")
+
+
+def format_scaled(numerator: int, scale: int) -> str:
+    """str(Fraction(numerator, scale)) for scale > 0, without the Fraction."""
+    g = math.gcd(numerator, scale)
+    if g == scale:
+        return str(numerator // scale)
+    return f"{numerator // g}/{scale // g}"
+
+
+def _scale_mismatch(text: str, scale: int, what: str) -> ScaleMismatch:
+    return ScaleMismatch(
+        f"{what} {text!r} is not a multiple of 1/{scale}; "
+        f"raise --scale or round the input"
+    )
+
 
 def parse_decimal(text: str, scale: int, what: str) -> Fraction:
     """Parse a decimal (or rational) string into an exact Fraction.
@@ -46,71 +74,161 @@ def parse_decimal(text: str, scale: int, what: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"could not parse {what} {text!r}") from exc
     if (value * scale).denominator != 1:
+        raise _scale_mismatch(text, scale, what)
+    return value
+
+
+def parse_scaled(text: str, scale: int, what: str) -> int:
+    """Parse a decimal (or rational) string into the integer value * scale.
+
+    A plain decimal (`12`, `12.5`, `.5`, `12.`, ASCII digits, surrounding
+    whitespace allowed) is read digit by digit. Every other form (signs,
+    exponents, `a/b`, underscores, non-ASCII digits) goes through
+    parse_decimal, with its errors. The value must be an integer multiple
+    of 1/scale, else ScaleMismatch.
+    """
+    plain = _PLAIN_DECIMAL.fullmatch(text.strip())
+    if plain is not None and (plain[1] or plain[2]):
+        frac = plain[2] or ""
+        try:
+            digits = int(plain[1] + frac)
+        except ValueError:
+            pass  # beyond int()'s digit limit: the Fraction route decides
+        else:
+            value, rest = divmod(digits * scale, 10 ** len(frac))
+            if rest:
+                raise _scale_mismatch(text, scale, what)
+            return value
+    return int(parse_decimal(text, scale, what) * scale)
+
+
+def _rescale(numerator: int, scale: int, target: int, what: str) -> int:
+    """numerator / scale as an exact numerator over target."""
+    value, rest = divmod(numerator * target, scale)
+    if rest:
         raise ScaleMismatch(
-            f"{what} {text!r} is not a multiple of 1/{scale}; "
-            f"raise --scale or round the input"
+            f"{what} {format_scaled(numerator, scale)} is not a multiple "
+            f"of 1/{target}"
         )
     return value
 
 
-@dataclass(frozen=True)
+def _set_fields(obj: object, **values: object) -> None:
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+
+
+def _check_schedule_shape(size: int, scale: int) -> None:
+    if scale <= 0:
+        raise InputError(f"scale must be positive, got {scale}")
+    if not size:
+        raise EmptyPrices("price schedule is empty")
+    if size < 2:
+        raise TooFewEnterprises(f"need at least 2 enterprises, got {size}")
+
+
+@dataclass(frozen=True, init=False)
 class PriceSchedule:
-    """Strictly positive unit prices in priority order, with their scale."""
+    """Strictly positive unit prices in priority order, with their scale.
 
-    prices: tuple[Fraction, ...]
-    scale: int = DEFAULT_SCALE
+    numerators[i] is price i+1 times scale; `prices` is the Fraction view.
+    """
 
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise InputError(f"scale must be positive, got {self.scale}")
-        if not self.prices:
-            raise EmptyPrices("price schedule is empty")
-        if len(self.prices) < 2:
-            raise TooFewEnterprises(
-                f"need at least 2 enterprises, got {len(self.prices)}"
-            )
-        for i, p in enumerate(self.prices):
+    numerators: tuple[int, ...]
+    scale: int
+
+    def __init__(
+        self, prices: Iterable[Fraction], scale: int = DEFAULT_SCALE
+    ) -> None:
+        prices = tuple(prices)
+        _check_schedule_shape(len(prices), scale)
+        numerators = []
+        for i, p in enumerate(prices):
             if p <= 0:
                 raise NonPositivePrice(f"price {i + 1} is {p}; must be > 0")
-            if (p * self.scale).denominator != 1:
+            scaled = Fraction(p) * scale
+            if scaled.denominator != 1:
                 raise ScaleMismatch(
-                    f"price {i + 1} = {p} is not a multiple of 1/{self.scale}"
+                    f"price {i + 1} = {p} is not a multiple of 1/{scale}"
                 )
+            numerators.append(scaled.numerator)
+        _set_fields(self, numerators=tuple(numerators), scale=scale)
+
+    @classmethod
+    def from_scaled(
+        cls, numerators: tuple[int, ...], scale: int
+    ) -> "PriceSchedule":
+        """The schedule of prices numerators[i] / scale."""
+        _check_schedule_shape(len(numerators), scale)
+        if min(numerators) <= 0:
+            i, v = next((i, v) for i, v in enumerate(numerators) if v <= 0)
+            raise NonPositivePrice(
+                f"price {i + 1} is {format_scaled(v, scale)}; must be > 0"
+            )
+        schedule = object.__new__(cls)
+        _set_fields(schedule, numerators=numerators, scale=scale)
+        return schedule
 
     @property
     def size(self) -> int:
-        return len(self.prices)
+        return len(self.numerators)
+
+    @cached_property
+    def prices(self) -> tuple[Fraction, ...]:
+        """The prices as exact Fractions."""
+        return tuple(Fraction(v, self.scale) for v in self.numerators)
 
     def scaled(self) -> tuple[int, ...]:
         """Prices as exact integers at the schedule scale."""
-        return self._scaled
-
-    @cached_property
-    def _scaled(self) -> tuple[int, ...]:
-        # computed once per (frozen) schedule; the solver asks repeatedly
-        return tuple(int(p * self.scale) for p in self.prices)
+        return self.numerators
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InvestmentBounds:
-    """Common lower/upper share counts K <= M and the total budget Phi."""
+    """Common lower/upper share counts K <= M and the total budget Phi.
+
+    budget_numerator is Phi times scale; `budget` is the Fraction view.
+    """
 
     min_shares: int
     max_shares: int
-    budget: Fraction
+    budget_numerator: int
+    scale: int
 
-    def __post_init__(self) -> None:
-        if self.min_shares < 0 or self.max_shares < 0:
+    def __init__(
+        self, min_shares: int, max_shares: int, budget: Fraction
+    ) -> None:
+        phi = Fraction(budget)
+        self._fill(min_shares, max_shares, phi.numerator, phi.denominator)
+
+    @classmethod
+    def from_scaled(
+        cls, min_shares: int, max_shares: int, budget: int, scale: int
+    ) -> "InvestmentBounds":
+        """Bounds K, M with the budget Phi = budget / scale."""
+        bounds = object.__new__(cls)
+        bounds._fill(min_shares, max_shares, budget, scale)
+        return bounds
+
+    def _fill(self, k: int, m: int, budget: int, scale: int) -> None:
+        if k < 0 or m < 0:
             raise InputError(
-                f"share bounds must be nonnegative, got "
-                f"K={self.min_shares}, M={self.max_shares}"
+                f"share bounds must be nonnegative, got K={k}, M={m}"
             )
-        if self.min_shares > self.max_shares:
-            raise BoundsInverted(
-                f"K={self.min_shares} exceeds M={self.max_shares}"
+        if k > m:
+            raise BoundsInverted(f"K={k} exceeds M={m}")
+        if budget <= 0:
+            raise InputError(
+                f"budget must be positive, got {format_scaled(budget, scale)}"
             )
-        if self.budget <= 0:
-            raise InputError(f"budget must be positive, got {self.budget}")
+        _set_fields(
+            self, min_shares=k, max_shares=m, budget_numerator=budget,
+            scale=scale,
+        )
+
+    @property
+    def budget(self) -> Fraction:
+        return Fraction(self.budget_numerator, self.scale)
 
     @property
     def span(self) -> int:
@@ -118,34 +236,59 @@ class InvestmentBounds:
         return self.max_shares - self.min_shares
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TailWeights:
-    """Suffix sums lambda_i = p_i + ... + p_s; strictly decreasing."""
+    """Suffix sums lambda_i = p_i + ... + p_s; strictly decreasing.
 
-    values: tuple[Fraction, ...]
+    numerators[i] is lambda_{i+1} times scale; `values` is the Fraction view.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.values) < 2:
+    numerators: tuple[int, ...]
+    scale: int
+
+    def __init__(self, values: Sequence[Fraction]) -> None:
+        values = tuple(Fraction(v) for v in values)
+        if len(values) < 2:
             raise TooFewEnterprises("tail weights need at least 2 entries")
-        for a, b in zip(self.values, self.values[1:]):
+        scale = math.lcm(*(v.denominator for v in values))
+        nums = tuple(v.numerator * (scale // v.denominator) for v in values)
+        for a, b in zip(nums, nums[1:]):
             if a <= b:
                 raise InputError(
-                    f"tail weights must strictly decrease, got {a} then {b}"
+                    f"tail weights must strictly decrease, got "
+                    f"{format_scaled(a, scale)} then {format_scaled(b, scale)}"
                 )
-        if self.values[-1] <= 0:
+        if nums[-1] <= 0:
             raise NonPositivePrice("tail weights must stay positive")
+        _set_fields(self, numerators=nums, scale=scale)
 
     @classmethod
     def from_schedule(cls, schedule: PriceSchedule) -> "TailWeights":
-        acc = Fraction(0)
-        out = []
-        for p in reversed(schedule.prices):
-            acc += p
-            out.append(acc)
-        return cls(tuple(reversed(out)))
+        # suffix sums of positive prices: strictly decreasing and positive
+        return cls._of(
+            tuple(accumulate(reversed(schedule.numerators)))[::-1],
+            schedule.scale,
+        )
+
+    @classmethod
+    def _of(cls, numerators: tuple[int, ...], scale: int) -> "TailWeights":
+        weights = object.__new__(cls)
+        _set_fields(weights, numerators=numerators, scale=scale)
+        return weights
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """The weights as exact Fractions."""
+        return tuple(Fraction(v, self.scale) for v in self.numerators)
 
     def scaled(self, scale: int) -> tuple[int, ...]:
-        return tuple(int(v * scale) for v in self.values)
+        """The weights as exact integers at the given scale."""
+        if scale == self.scale:
+            return self.numerators
+        return tuple(
+            _rescale(v, self.scale, scale, "tail weight")
+            for v in self.numerators
+        )
 
 
 def tail_weights(schedule: PriceSchedule) -> TailWeights:
@@ -153,59 +296,87 @@ def tail_weights(schedule: PriceSchedule) -> TailWeights:
     return TailWeights.from_schedule(schedule)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProblemInstance:
     """A validated allocation problem.
 
-    Fields n and effective_budget are derived from the bounds and budget:
-    n = M - K units over modes 2..s, effective budget
-    E = Phi - K*lambda_1. degeneracies holds one multiplicity per mode
-    (all 1 unless modes are explicitly duplicated).
+    n = M - K units go over modes 2..s and the effective budget is
+    E = Phi - K*lambda_1; both are derived from the bounds and weights.
+    degeneracies holds one multiplicity per mode (all 1 unless modes are
+    explicitly duplicated). The bounds and weights are held at the
+    schedule's scale.
     """
 
     schedule: PriceSchedule
     bounds: InvestmentBounds
     weights: TailWeights
-    n: int
-    effective_budget: Fraction
-    degeneracies: tuple[int, ...] = field(default=())
+    degeneracies: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        s = self.schedule.size
-        if len(self.weights.values) != s:
+    def __init__(
+        self,
+        schedule: PriceSchedule,
+        bounds: InvestmentBounds,
+        weights: TailWeights,
+        n: Optional[int] = None,
+        effective_budget: Optional[Fraction] = None,
+        degeneracies: Sequence[int] = (),
+    ) -> None:
+        """n and effective_budget, when given, must match the derived ones."""
+        s = schedule.size
+        if len(weights.numerators) != s:
             raise InputError("weights do not match the schedule length")
-        if not self.degeneracies:
-            object.__setattr__(self, "degeneracies", (1,) * (s - 1))
-        if len(self.degeneracies) != s - 1:
+        degeneracies = tuple(degeneracies) or (1,) * (s - 1)
+        if len(degeneracies) != s - 1:
             raise InputError("need one degeneracy per mode 2..s")
-        if any(q < 1 for q in self.degeneracies):
+        if any(q < 1 for q in degeneracies):
             raise InputError("degeneracies must be >= 1")
-        if self.n != self.bounds.span:
+        if n is not None and n != bounds.span:
             raise InputError("n must equal M - K")
-        lam1 = self.weights.values[0]
-        phi = self.bounds.budget
-        low = self.bounds.min_shares * lam1
-        high = self.bounds.max_shares * lam1
+        scale = schedule.scale
+        if bounds.scale != scale:
+            bounds = InvestmentBounds.from_scaled(
+                bounds.min_shares,
+                bounds.max_shares,
+                _rescale(bounds.budget_numerator, bounds.scale, scale, "budget"),
+                scale,
+            )
+        if weights.scale != scale:
+            weights = TailWeights._of(weights.scaled(scale), scale)
+        lam1 = weights.numerators[0]
+        phi = bounds.budget_numerator
+        low = bounds.min_shares * lam1
+        high = bounds.max_shares * lam1
         if not (low <= phi <= high):
             raise BudgetInfeasible(
-                f"budget {phi} outside the feasible window "
-                f"[{low}, {high}] = [K*lambda_1, M*lambda_1]"
+                f"budget {format_scaled(phi, scale)} outside the feasible "
+                f"window [{format_scaled(low, scale)}, "
+                f"{format_scaled(high, scale)}] = [K*lambda_1, M*lambda_1]"
             )
-        if self.effective_budget != phi - self.bounds.min_shares * lam1:
+        if effective_budget is not None and (
+            Fraction(effective_budget) * scale != phi - low
+        ):
             raise InputError("effective budget must equal Phi - K*lambda_1")
+        _set_fields(
+            self, schedule=schedule, bounds=bounds, weights=weights,
+            degeneracies=degeneracies,
+        )
 
     @property
     def size(self) -> int:
         return self.schedule.size
 
     @property
-    def mode_weights(self) -> tuple[Fraction, ...]:
-        """Weights of the modes 2..s (lambda_2 .. lambda_s)."""
-        return self.weights.values[1:]
+    def n(self) -> int:
+        return self.bounds.span
 
     @property
     def scale(self) -> int:
         return self.schedule.scale
+
+    @property
+    def mode_weights(self) -> tuple[Fraction, ...]:
+        """Weights of the modes 2..s (lambda_2 .. lambda_s)."""
+        return self.weights.values[1:]
 
     def mode_weights_scaled(self) -> tuple[int, ...]:
         """Mode weights lambda_2..lambda_s as exact integers at the scale."""
@@ -213,9 +384,9 @@ class ProblemInstance:
 
     @cached_property
     def _mode_weights_scaled(self) -> tuple[int, ...]:
-        # computed once per (frozen) instance: the solver, the partition
-        # layer and every Composition.energy call ask for it
-        return tuple(int(v * self.scale) for v in self.mode_weights)
+        # one tuple per (frozen) instance: the solver, the partition layer
+        # and every Composition.energy call ask for it
+        return self.weights.numerators[1:]
 
     @cached_property
     def _expanded_modes(self) -> tuple[int, ...]:
@@ -228,19 +399,21 @@ class ProblemInstance:
         )
 
     def effective_budget_scaled(self) -> int:
-        scaled = self.effective_budget * self.scale
-        if scaled.denominator != 1:
-            raise ScaleMismatch(
-                f"effective budget {self.effective_budget} not a multiple "
-                f"of 1/{self.scale}"
-            )
-        return int(scaled)
+        """E = Phi - K*lambda_1 as an exact integer at the scale."""
+        return (
+            self.bounds.budget_numerator
+            - self.bounds.min_shares * self.weights.numerators[0]
+        )
+
+    @property
+    def effective_budget(self) -> Fraction:
+        return Fraction(self.effective_budget_scaled(), self.scale)
 
     @property
     def interior(self) -> bool:
         """True when E lies strictly inside the attainable energy range."""
-        low, high = energy_range(self)
-        return low < self.effective_budget < high
+        lams, e = self.weights.numerators, self.effective_budget_scaled()
+        return self.n * lams[-1] < e < self.n * lams[1]
 
 
 def energy_range(instance: ProblemInstance) -> tuple[Fraction, Fraction]:
@@ -248,40 +421,47 @@ def energy_range(instance: ProblemInstance) -> tuple[Fraction, Fraction]:
 
     Lower and upper bound coincide exactly when s = 2 or n = 0.
     """
-    lam = instance.weights.values
-    return instance.n * lam[-1], instance.n * lam[1]
+    lams, scale = instance.weights.numerators, instance.scale
+    return (
+        Fraction(instance.n * lams[-1], scale),
+        Fraction(instance.n * lams[1], scale),
+    )
 
 
 def build_instance(
-    prices: Sequence[str],
+    prices: Iterable[str],
     min_shares: int,
     max_shares: int,
-    budget: str,
+    budget: Optional[str],
     *,
     scale: int = DEFAULT_SCALE,
     degeneracies: Optional[Sequence[int]] = None,
 ) -> ProblemInstance:
     """Validate raw inputs and assemble a ProblemInstance.
 
-    Prices and budget are decimal strings; all arithmetic from here on is
-    exact at the given scale.
+    Prices and budget are decimal strings, parsed straight to integers at
+    the given scale. A budget of None places Phi at M*lambda_1, the top of
+    the feasible window, where the energy cut never binds.
     """
-    if not list(prices):
+    prices = tuple(prices)  # read a one-shot iterable once
+    if not prices:
         raise EmptyPrices("price schedule is empty")
-    parsed = tuple(
-        parse_decimal(p, scale, f"price {i + 1}") for i, p in enumerate(prices)
-    )
-    schedule = PriceSchedule(parsed, scale)
-    bounds = InvestmentBounds(
-        min_shares, max_shares, parse_decimal(budget, scale, "budget")
+    schedule = PriceSchedule.from_scaled(
+        tuple(
+            parse_scaled(p, scale, f"price {i + 1}")
+            for i, p in enumerate(prices)
+        ),
+        scale,
     )
     weights = TailWeights.from_schedule(schedule)
-    effective = bounds.budget - bounds.min_shares * weights.values[0]
+    phi = (
+        max_shares * weights.numerators[0]
+        if budget is None
+        else parse_scaled(budget, scale, "budget")
+    )
     return ProblemInstance(
-        schedule=schedule,
-        bounds=bounds,
-        weights=weights,
-        n=bounds.span,
-        effective_budget=effective,
-        degeneracies=tuple(degeneracies) if degeneracies else (),
+        schedule,
+        InvestmentBounds.from_scaled(min_shares, max_shares, phi, scale),
+        weights,
+        degeneracies=degeneracies or (),
     )

@@ -151,7 +151,7 @@ def mode_offsets(
     return ModeOffsets(
         d / instance.scale,
         np.array(instance.degeneracies, dtype=float),
-        instance.mode_weights[p],
+        Fraction(scaled[p], instance.scale),
     )
 
 
@@ -242,28 +242,30 @@ def solve_params(instance: ProblemInstance) -> ThermoParams:
     empty instances raise DegenerateBoundary (callers should fall back to a
     boundary allocation with all increments at one mode).
     """
-    if instance.n == 0:
+    n = instance.n
+    if n == 0:
         raise DegenerateBoundary("no increments to place (K = M)")
-    low, high = energy_range(instance)
-    e_exact = instance.effective_budget
-    if not (low < e_exact < high):
+    scaled = instance.mode_weights_scaled()
+    e_scaled = instance.effective_budget_scaled()
+    if not (n * scaled[-1] < e_scaled < n * scaled[0]):
+        low, high = energy_range(instance)
         raise DegenerateBoundary(
-            f"effective budget {e_exact} not strictly inside the attainable "
-            f"energy range ({low}, {high}); no interior solution exists"
+            f"effective budget {instance.effective_budget} not strictly "
+            f"inside the attainable energy range ({low}, {high}); no "
+            f"interior solution exists"
         )
 
-    n = instance.n
-    scaled = instance.mode_weights_scaled()
+    scale = instance.scale
     total_q = sum(instance.degeneracies)
     # E*Q against N*sum(q*lambda): beta > 0 below the uniform mean energy.
     mean_gap = n * sum(g * w for g, w in zip(instance.degeneracies, scaled)) \
-        - e_exact * instance.scale * total_q
+        - e_scaled * total_q
     sign = (mean_gap > 0) - (mean_gap < 0)
     modes = mode_offsets(instance, sign, scaled)
     lam_p = float(modes.pole)
-    e_shift = float(e_exact - n * modes.pole)
+    e_shift = float(Fraction(e_scaled, scale) - n * modes.pole)
     n_scale = max(1.0, float(n))
-    e_scale = max(1.0, abs(float(e_exact)))
+    e_scale = max(1.0, abs(e_scaled / scale))
 
     beta, x0 = 0.0, math.log1p(total_q / n)
     sums = occupancy_sums(modes, beta, x0)
@@ -341,16 +343,17 @@ def build_allocation(
     O(moves * s).
     """
     s = instance.size
+    scale = instance.scale
     k = instance.bounds.min_shares
-    phi = instance.bounds.budget
-    lam1 = instance.weights.values[0]
+    phi_scaled = instance.bounds.budget_numerator
+    lam1_scaled = instance.weights.numerators[0]
     if instance.n == 0:
-        spend = k * lam1
+        spend_scaled = k * lam1_scaled
         return Allocation(
             occupancies=(0.0,) * (s - 1),
             counts=(k,) * s,
-            spend=spend,
-            budget_residual=phi - spend,
+            spend=Fraction(spend_scaled, scale),
+            budget_residual=Fraction(phi_scaled - spend_scaled, scale),
             rounding_shift=0,
         )
 
@@ -370,13 +373,6 @@ def build_allocation(
         parts[j] += 1
 
     prices_scaled = instance.schedule.scaled()
-    scale = instance.scale
-    phi_scaled = phi * scale
-    if phi_scaled.denominator != 1:
-        raise RepairFailed(f"budget {phi} not representable at scale {scale}")
-    phi_scaled = int(phi_scaled)
-    lam1_scaled = int(lam1 * scale)
-
     spend_scaled = k * lam1_scaled + sum(
         p * w for p, w in zip(parts, lam_scaled)
     )
@@ -388,7 +384,8 @@ def build_allocation(
         if j == m - 1:
             raise RepairFailed(
                 "all increments already at the cheapest mode but spending "
-                f"{Fraction(spend_scaled, scale)} still exceeds {phi}"
+                f"{Fraction(spend_scaled, scale)} still exceeds "
+                f"{instance.bounds.budget}"
             )
         # parts[j] belongs to enterprise j+2; each unit moved saves its price
         price = prices_scaled[j + 1]
@@ -402,11 +399,10 @@ def build_allocation(
     for p in parts:
         counts.append(counts[-1] + p)
     assert counts[-1] == instance.bounds.max_shares
-    spend = Fraction(spend_scaled, scale)
     return Allocation(
         occupancies=tuple(occ),
         counts=tuple(counts),
-        spend=spend,
-        budget_residual=phi - spend,
+        spend=Fraction(spend_scaled, scale),
+        budget_residual=Fraction(phi_scaled - spend_scaled, scale),
         rounding_shift=shift,
     )

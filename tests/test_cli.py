@@ -2,9 +2,17 @@
 
 import json
 import math
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from itertools import accumulate
+from pathlib import Path
 
 import pytest
 
+import bealloc
 from bealloc import solver
 from bealloc.cli import main, read_prices
 from bealloc.errors import InputError
@@ -289,3 +297,100 @@ def test_prices_file_skips_blank_lines(tmp_path):
     path = tmp_path / "gaps.csv"
     path.write_text("\n1\n\n2\n3\n\n")
     assert read_prices(str(path)) == ["1", "2", "3"]
+
+
+def fraction_report_strings(prices, k, m, budget, scale):
+    """The instance block and both effective budgets, formatted the way the
+    report formatted them from Fractions before the integer view."""
+    ps = [Fraction(p) for p in prices]
+    lam = list(accumulate(reversed(ps)))[::-1]
+    phi = Fraction(budget)
+    instance = {
+        "prices": [str(p) for p in ps],
+        "scale": scale,
+        "k": k,
+        "m": m,
+        "budget": str(phi),
+        "lambda": [str(v) for v in lam],
+        "n": m - k,
+        "e": str(phi - k * lam[0]),
+    }
+    return instance, str(phi - k * lam[0]), str(phi - k * ps[0])
+
+
+def test_solve_report_strings_match_fraction_formatting(capsys, tmp_path):
+    rng = random.Random(2000)
+    cents = [rng.randint(1, 10000) for _ in range(2000)]
+    prices = [f"{c // 100}.{c % 100:02d}" for c in cents]
+    path = tmp_path / "prices.csv"
+    path.write_text("\n".join(prices) + "\n")
+    k, n = 2, 40
+    lam = list(accumulate(reversed(cents)))[::-1]
+    phi = k * lam[0] + n * lam[-1] + n * (lam[1] - lam[-1]) // 2
+    budget = f"{phi // 100}.{phi % 100:02d}"
+    for scale in (10**6, 100):
+        code, out, _ = run(
+            capsys,
+            ["solve", "--prices", str(path), "--min-shares", str(k),
+             "--max-shares", str(k + n), "--budget", budget,
+             "--scale", str(scale)],
+        )
+        assert code == 0
+        report = json.loads(out)
+        instance, effective, first_price = fraction_report_strings(
+            prices, k, k + n, budget, scale
+        )
+        assert report["instance"] == instance
+        assert report["effective_budget"] == effective
+        assert report["effective_budget_first_price"] == first_price
+    # a non-positive scale: the same stderr and exit code as before
+    code, out, err = run(
+        capsys,
+        ["solve", "--prices", str(path), "--min-shares", str(k),
+         "--max-shares", str(k + n), "--budget", budget, "--scale", "0"],
+    )
+    assert (code, out, err) == (
+        4, "", "error: scale must be positive, got 0\n"
+    )
+    first = next(i for i, p in enumerate(prices)
+                 if (Fraction(p) * -5).denominator != 1)
+    code, out, err = run(
+        capsys,
+        ["solve", "--prices", str(path), "--min-shares", str(k),
+         "--max-shares", str(k + n), "--budget", budget, "--scale", "-5"],
+    )
+    assert (code, out) == (4, "")
+    assert err == (
+        f"error: price {first + 1} {prices[first]!r} is not a multiple of "
+        f"1/-5; raise --scale or round the input\n"
+    )
+
+
+def test_scale_minus_five_on_whole_prices(capsys, prices_file):
+    code, out, err = run(
+        capsys,
+        ["solve", "--prices", prices_file, "--min-shares", "0",
+         "--max-shares", "2", "--budget", "8", "--scale", "-5"],
+    )
+    assert (code, out, err) == (
+        4, "", "error: scale must be positive, got -5\n"
+    )
+
+
+def test_python_m_bealloc_runs_the_cli(capsys, tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("1.25\n0.75\n1\n0.5\n1.5\n1\n0.25\n1\n2\n0.75\n")
+    argv = ["solve", "--prices", str(path), "--min-shares", "0",
+            "--max-shares", "10", "--budget", "55.25"]
+    src = str(Path(bealloc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "bealloc", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    code, out, _ = run(capsys, argv)
+    assert (proc.returncode, code) == (0, 0)
+    assert proc.stdout == out

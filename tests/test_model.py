@@ -22,6 +22,7 @@ from bealloc import (
     parse_decimal,
     tail_weights,
 )
+from bealloc.model import parse_scaled
 from conftest import random_instance
 
 
@@ -47,6 +48,60 @@ def test_parse_decimal_scale_mismatch():
         parse_decimal("0.001", 100, "price 1")
     # the same string is fine at a finer scale
     assert parse_decimal("0.001", 1000, "price 1") == Fraction(1, 1000)
+
+
+def reference_parse(text, scale, what):
+    """The Fraction parse that instances were built from before the integer
+    path: value * scale, with the same errors."""
+    try:
+        value = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"could not parse {what} {text!r}") from exc
+    if (value * scale).denominator != 1:
+        raise ScaleMismatch(
+            f"{what} {text!r} is not a multiple of 1/{scale}; "
+            f"raise --scale or round the input"
+        )
+    return int(value * scale)
+
+
+def parse_outcome(parse, text, scale):
+    try:
+        return parse(text, scale, "price 1")
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+PARSE_CORPUS = [
+    "0.25", "  7 ", "\t2.5\n", ".5", "5.", "1.50000000", "0.001",
+    "+1.5", "-0", "-2",
+    "1e-3", "1E2", "3/4", "1_000", "\uff11\uff12", "\u00b2",
+    "nan", "", "1.2.3", ".", "1." + "0" * 5000,
+]
+
+
+def test_parse_scaled_matches_fraction_reference():
+    for text in PARSE_CORPUS:
+        for scale in (10**6, 1000, 100, 7, 3, 0, -5):
+            assert parse_outcome(parse_scaled, text, scale) == parse_outcome(
+                reference_parse, text, scale
+            ), (text, scale)
+    # anchors, so that a fault shared with the reference shows too
+    assert parse_scaled("1.50000000", 10**6, "x") == 1_500_000
+    assert parse_scaled("\uff11\uff12", 7, "x") == 84
+    assert parse_scaled("0.001", 1000, "x") == 1
+    with pytest.raises(ScaleMismatch, match=r"not a multiple of 1/100;"):
+        parse_scaled("0.001", 100, "x")
+    with pytest.raises(ScaleMismatch):
+        parse_scaled("0.5", 3, "x")
+    with pytest.raises(InputError, match="could not parse"):
+        parse_scaled("\u00b2", 10**6, "x")
+
+
+def test_build_instance_reads_a_one_shot_iterable():
+    inst = build_instance((p for p in ["1", "2", "3"]), 0, 2, "8")
+    assert inst.schedule.prices == (1, 2, 3)
+    assert inst == build_example()
 
 
 def test_example_instance_fields():
@@ -126,6 +181,25 @@ def test_instance_cross_checks():
         ProblemInstance(sched, bounds, weights, 3, Fraction(8))
     with pytest.raises(InputError, match="effective budget"):
         ProblemInstance(sched, bounds, weights, 2, Fraction(7))
+
+
+def test_parts_are_held_at_the_schedule_scale():
+    sched = PriceSchedule((Fraction(1), Fraction(2), Fraction(3)))
+    inst = ProblemInstance(
+        sched, InvestmentBounds(0, 2, Fraction(8)), TailWeights((6, 5, 3))
+    )
+    assert inst == build_example()
+    assert inst.bounds.scale == inst.weights.scale == inst.scale
+    with pytest.raises(ScaleMismatch, match="budget 25/3"):
+        ProblemInstance(
+            sched, InvestmentBounds(0, 2, Fraction(25, 3)), tail_weights(sched)
+        )
+    with pytest.raises(ScaleMismatch, match="tail weight 1/3"):
+        ProblemInstance(
+            sched,
+            InvestmentBounds(0, 2, Fraction(8)),
+            TailWeights((6, 5, Fraction(1, 3))),
+        )
 
 
 def test_scaled_views_are_exact_ints():
