@@ -7,8 +7,8 @@ Reports are single JSON documents on stdout with sorted keys, so a rerun
 with the same inputs is byte-identical; diagnostics go to stderr. Exact
 integers and rationals are serialized as strings to avoid precision loss.
 
-Exit codes: 0 success, 2 infeasible or degenerate budget, 3 numeric
-failure, 4 input error, 5 enumeration or sampling capacity exceeded.
+Exit codes: 0 on success; otherwise the code that _EXIT_CODES gives the
+error (3 for any error it does not list).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -28,11 +27,8 @@ from .errors import (
     BudgetInfeasible,
     CapExceeded,
     DegenerateBoundary,
-    DomainError,
     InputError,
     LowAcceptance,
-    NoConvergence,
-    RepairFailed,
 )
 from .model import (  # noqa: F401  (perfbench wraps cli.parse_decimal)
     DEFAULT_SCALE,
@@ -47,24 +43,17 @@ _VERIFY_SAMPLED_N = (6, 9, 12, 15, 20, 25)
 _SHELL_EPSILON = 0.25
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation, one field per flag."""
-
-    command: str
-    prices_path: Optional[str] = None
-    min_shares: Optional[int] = None
-    max_shares: Optional[int] = None
-    budget: Optional[str] = None
-    epsilon: float = 0.0
-    l: Optional[int] = None
-    beta_override: Optional[float] = None
-    samples: Optional[int] = None
-    seed: int = 0
-    cap: int = oracle.DEFAULT_CAP
-    grid: int = 4096
-    scale: int = DEFAULT_SCALE
-    out_path: Optional[str] = None
+# An error exits with the code of the first class in its MRO listed here, so
+# NoConvergence, DomainError, RepairFailed and any unlisted AllocError exit 3
+# (numeric failure). Usage errors exit with the InputError code.
+_EXIT_CODES = {
+    BudgetInfeasible: 2,
+    DegenerateBoundary: 2,
+    AllocError: 3,
+    InputError: 4,
+    CapExceeded: 5,
+    LowAcceptance: 5,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,14 +62,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(4)
+        raise SystemExit(_EXIT_CODES[InputError])
 
 
 def read_prices(path: str) -> list[str]:
     """Read the price CSV: one `price` or `index,price` line per enterprise."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read prices file {path}: {exc}") from exc
     out: list[str] = []
     last_index: Optional[int] = None
@@ -127,24 +116,19 @@ def _sci(x: float) -> str:
     return f"{x:.17e}"
 
 
-def _build_from_config(cfg: RunConfig) -> ProblemInstance:
-    if cfg.prices_path is None:
-        raise InputError(f"{cfg.command} requires --prices")
-    if cfg.min_shares is None or cfg.max_shares is None:
-        raise InputError(f"{cfg.command} requires --min-shares and --max-shares")
-    if cfg.budget is None:
-        raise InputError(f"{cfg.command} requires --budget")
+def _build(args: argparse.Namespace) -> ProblemInstance:
+    prices = read_prices(args.prices_path)
+    # only zcheck may omit --budget: the budget then sits at M*lambda_1,
+    # where it never binds, and no fit can supply beta
+    if args.budget is None and args.beta_override is None:
+        raise InputError("zcheck needs --beta when --budget is omitted")
     return build_instance(
-        read_prices(cfg.prices_path),
-        cfg.min_shares,
-        cfg.max_shares,
-        cfg.budget,
-        scale=cfg.scale,
+        prices, args.min_shares, args.max_shares, args.budget, scale=args.scale
     )
 
 
-def cmd_solve(cfg: RunConfig) -> dict:
-    inst = _build_from_config(cfg)
+def cmd_solve(args: argparse.Namespace) -> dict:
+    inst = _build(args)
     params = solver.solve_params(inst)
     alloc = solver.build_allocation(inst, params)
     scale = inst.scale
@@ -183,15 +167,15 @@ def _regime_note(inst: ProblemInstance) -> None:
         )
 
 
-def cmd_enumerate(cfg: RunConfig) -> dict:
-    inst = _build_from_config(cfg)
+def cmd_enumerate(args: argparse.Namespace) -> dict:
+    inst = _build(args)
     report: dict = {
         "command": "enumerate",
         "instance": _instance_doc(inst),
-        "cap": cfg.cap,
-        "total_count": str(oracle.count_configurations(inst, cfg.cap)),
+        "cap": args.cap,
+        "total_count": str(oracle.count_configurations(inst, args.cap)),
     }
-    if cfg.l is not None:
+    if args.l is not None:
         _regime_note(inst)
         try:
             params = solver.solve_params(inst)
@@ -199,23 +183,23 @@ def cmd_enumerate(cfg: RunConfig) -> dict:
             sys.stderr.write(f"note: skipping ensemble statistics: {exc}\n")
         else:
             stats = oracle.cumulative_stats(
-                inst, params, cfg.l, cfg.epsilon, cfg.cap
+                inst, params, args.l, args.epsilon, args.cap
             )
             report.update(
                 {
                     "l": stats.l,
-                    "epsilon": cfg.epsilon,
+                    "epsilon": args.epsilon,
                     "delta": stats.delta,
                     "deviation_fraction": stats.deviation_fraction,
                     "cumulative_means": [str(f) for f in stats.cumulative_mean],
                 }
             )
-    if cfg.samples is not None:
-        result = oracle.sample_uniform(inst, cfg.samples, cfg.seed)
+    if args.samples is not None:
+        result = oracle.sample_uniform(inst, args.samples, args.seed)
         report.update(
             {
-                "samples": cfg.samples,
-                "seed": cfg.seed,
+                "samples": args.samples,
+                "seed": args.seed,
                 "acceptance_rate": result.acceptance_rate,
             }
         )
@@ -247,8 +231,10 @@ def _sampled_row_stats(
     return deviations / samples, shell / samples
 
 
-def cmd_verify(cfg: RunConfig) -> dict:
-    ns = _VERIFY_EXACT_N if cfg.samples is None else _VERIFY_SAMPLED_N
+def cmd_verify(args: argparse.Namespace) -> dict:
+    if args.samples == 0:  # each sampled row averages over its draws
+        raise InputError("verify --samples must be positive, got 0")
+    ns = _VERIFY_EXACT_N if args.samples is None else _VERIFY_SAMPLED_N
     rows = []
     devs: list[float] = []
     shells: list[float] = []
@@ -256,17 +242,19 @@ def cmd_verify(cfg: RunConfig) -> dict:
         inst = families.unit_price_family(n, "mean")
         params = solver.solve_params(inst)
         l = -(-n // 2)  # ceil(s/2) with s = n
-        delta = float(n) ** (0.75 + cfg.epsilon)
-        if cfg.samples is None:
-            stats = oracle.cumulative_stats(inst, params, l, cfg.epsilon, cfg.cap)
+        delta = float(n) ** (0.75 + args.epsilon)
+        if args.samples is None:
+            stats = oracle.cumulative_stats(
+                inst, params, l, args.epsilon, args.cap
+            )
             dev = stats.deviation_fraction
             shell = oracle.low_energy_shell_weight(
-                inst, params.beta, _SHELL_EPSILON, cfg.cap
+                inst, params.beta, _SHELL_EPSILON, args.cap
             )
             total: Optional[str] = str(stats.total_count)
         else:
             dev, shell = _sampled_row_stats(
-                inst, params, l, delta, cfg.samples, cfg.seed + offset
+                inst, params, l, delta, args.samples, args.seed + offset
             )
             total = None
         rows.append(
@@ -283,10 +271,10 @@ def cmd_verify(cfg: RunConfig) -> dict:
         shells.append(shell)
     return {
         "command": "verify",
-        "epsilon": cfg.epsilon,
+        "epsilon": args.epsilon,
         "shell_epsilon": _SHELL_EPSILON,
-        "samples": cfg.samples,
-        "seed": cfg.seed if cfg.samples is not None else None,
+        "samples": args.samples,
+        "seed": args.seed if args.samples is not None else None,
         "rows": rows,
         "deviation_nonincreasing": all(
             b <= a for a, b in zip(devs, devs[1:])
@@ -297,32 +285,22 @@ def cmd_verify(cfg: RunConfig) -> dict:
     }
 
 
-def cmd_zcheck(cfg: RunConfig) -> dict:
-    if cfg.prices_path is None:
-        raise InputError("zcheck requires --prices")
-    if cfg.min_shares is None or cfg.max_shares is None:
-        raise InputError("zcheck requires --min-shares and --max-shares")
-    prices = read_prices(cfg.prices_path)
-    if cfg.budget is None and cfg.beta_override is None:
-        raise InputError("zcheck needs --beta when --budget is omitted")
-    # without --budget the budget sits at M*lambda_1, where it never binds
-    inst = build_instance(
-        prices, cfg.min_shares, cfg.max_shares, cfg.budget, scale=cfg.scale
-    )
-    beta = (
-        cfg.beta_override
-        if cfg.beta_override is not None
-        else solver.solve_params(inst).beta
-    )
+def cmd_zcheck(args: argparse.Namespace) -> dict:
+    inst = _build(args)
     if inst.n < 1:
         raise InputError("zcheck needs at least one increment (M > K)")
+    beta = (
+        args.beta_override
+        if args.beta_override is not None
+        else solver.solve_params(inst).beta
+    )
 
     rows = []
     ratios: list[float] = []
     for n in (inst.n, 2 * inst.n, 4 * inst.n):
         inst_n = families.with_total(inst, n)
         est = partition.z_saddle(inst_n, beta)
-        zq = partition.z_integral(inst_n, beta, est.nu_star, cfg.grid)
+        zq = partition.z_integral(inst_n, beta, est.nu_star, args.grid)
         rows.append(
             {
                 "n": n,
@@ -343,7 +321,7 @@ def cmd_zcheck(cfg: RunConfig) -> dict:
     return {
         "command": "zcheck",
         "beta": beta,
-        "grid": cfg.grid,
+        "grid": args.grid,
         "rows": rows,
         "relative_changes": [_sci(c) for c in changes],
         "stabilizing": changes[1] <= 0.5 * changes[0],
@@ -358,86 +336,54 @@ _COMMANDS = {
 }
 
 
-def _add_instance_flags(p: argparse.ArgumentParser, budget_required: bool) -> None:
-    p.add_argument("--prices", dest="prices_path", required=True,
-                   help="CSV of prices, ascending priority")
-    p.add_argument("--min-shares", dest="min_shares", type=int, required=True)
-    p.add_argument("--max-shares", dest="max_shares", type=int, required=True)
-    p.add_argument("--budget", required=budget_required)
-    p.add_argument("--scale", type=int, default=DEFAULT_SCALE,
-                   help="decimal scale denominator (default 10^6)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bealloc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-
-    p = sub.add_parser("solve", help="fit multipliers, emit the allocation")
-    _add_instance_flags(p, budget_required=True)
-    p.add_argument("--out", dest="out_path")
-
-    p = sub.add_parser("enumerate", help="exact configuration statistics")
-    _add_instance_flags(p, budget_required=True)
-    p.add_argument("--l", type=int)
-    p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
-    p.add_argument("--out", dest="out_path")
-
-    p = sub.add_parser("verify", help="scaled concentration trend suite")
-    p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
-    p.add_argument("--out", dest="out_path")
-
-    p = sub.add_parser("zcheck", help="partition identities, doubling schedule")
-    _add_instance_flags(p, budget_required=False)
-    p.add_argument("--beta", dest="beta_override", type=float)
-    p.add_argument("--grid", type=int, default=4096)
-    p.add_argument("--out", dest="out_path")
-
+    solve = sub.add_parser("solve",
+                           help="fit multipliers, emit the allocation")
+    enum = sub.add_parser("enumerate", help="exact configuration statistics")
+    verify = sub.add_parser("verify", help="scaled concentration trend suite")
+    zcheck = sub.add_parser("zcheck",
+                            help="partition identities, doubling schedule")
+    for p in (solve, enum, zcheck):
+        p.add_argument("--prices", dest="prices_path", required=True,
+                       help="CSV of prices, ascending priority")
+        p.add_argument("--min-shares", type=int, required=True)
+        p.add_argument("--max-shares", type=int, required=True)
+        p.add_argument("--budget", required=p is not zcheck)
+        p.add_argument("--scale", type=int, default=DEFAULT_SCALE,
+                       help="decimal scale denominator (default 10^6)")
+    enum.add_argument("--l", type=int)
+    for p in (enum, verify):
+        p.add_argument("--epsilon", type=float, default=0.0)
+        p.add_argument("--samples", type=int)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
+    zcheck.add_argument("--beta", dest="beta_override", type=float)
+    zcheck.add_argument("--grid", type=int, default=4096)
+    for p in (solve, enum, verify, zcheck):
+        p.add_argument("--out", dest="out_path")
     return parser
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    fields = (
-        "prices_path", "min_shares", "max_shares", "budget", "epsilon", "l",
-        "beta_override", "samples", "seed", "cap", "grid", "scale", "out_path",
-    )
-    kwargs = {}
-    for f in fields:
-        if hasattr(ns, f) and getattr(ns, f) is not None:
-            kwargs[f] = getattr(ns, f)
-    return RunConfig(command=ns.command, **kwargs)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    cfg = _config_from(ns)
+    args = build_parser().parse_args(argv)
     try:
-        report = _COMMANDS[cfg.command](cfg)
-    except (BudgetInfeasible, DegenerateBoundary) as exc:
+        report = _COMMANDS[args.command](args)
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        if args.out_path is not None:
+            try:
+                Path(args.out_path).write_text(text)
+            except OSError as exc:
+                raise InputError(
+                    f"cannot write report {args.out_path}: {exc}"
+                ) from exc
+    except AllocError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (NoConvergence, DomainError, RepairFailed) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
-    except (CapExceeded, LowAcceptance) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 5
-    except AllocError as exc:  # unmapped library error: treat as numeric
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if cfg.out_path is not None:
-        Path(cfg.out_path).write_text(text)
+        return next(
+            _EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES
+        )
     sys.stdout.write(text)
     return 0
 

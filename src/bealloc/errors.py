@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 Every error raised by the library derives from AllocError so callers can
-catch one base. The CLI maps subfamilies onto its exit-code table.
+catch one base. `cli._EXIT_CODES` maps them onto the CLI's exit codes.
 """
 
 

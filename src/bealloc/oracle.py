@@ -357,6 +357,8 @@ def sample_uniform(
     """
     if count < 0:
         raise InputError(f"sample count must be nonnegative, got {count}")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     if count == 0:
         return SampleResult((), 1.0, seed)
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: reports, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -13,9 +14,9 @@ from pathlib import Path
 import pytest
 
 import bealloc
-from bealloc import solver
-from bealloc.cli import main, read_prices
-from bealloc.errors import InputError
+from bealloc import errors, oracle, solver
+from bealloc.cli import build_parser, main, read_prices
+from bealloc.errors import AllocError, InputError
 
 
 @pytest.fixture
@@ -394,3 +395,191 @@ def test_python_m_bealloc_runs_the_cli(capsys, tmp_path):
     code, out, _ = run(capsys, argv)
     assert (proc.returncode, code) == (0, 0)
     assert proc.stdout == out
+
+
+def test_prices_file_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"\xff1\n2\n")
+    with pytest.raises(InputError, match="cannot read prices file"):
+        read_prices(str(path))
+
+
+def test_unwritable_out_path(capsys, prices_file, tmp_path):
+    out_path = tmp_path / "missing" / "report.json"
+    code, out, err = run(
+        capsys,
+        ["solve", "--prices", prices_file, "--min-shares", "0",
+         "--max-shares", "2", "--budget", "8", "--out", str(out_path)],
+    )
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: cannot write report {out_path}: ")
+    assert err.count("\n") == 1
+
+
+def test_verify_zero_samples(capsys, prices_file):
+    code, out, err = run(capsys, ["verify", "--samples", "0"])
+    assert (code, out, err) == (
+        4, "", "error: verify --samples must be positive, got 0\n"
+    )
+    # enumerate draws nothing at --samples 0 and reports it
+    code, out, _ = run(
+        capsys,
+        ["enumerate", "--prices", prices_file, "--min-shares", "0",
+         "--max-shares", "2", "--budget", "9", "--samples", "0"],
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert (report["samples"], report["acceptance_rate"]) == (0, 1.0)
+
+
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+def test_negative_seed(capsys, prices_file, command):
+    instance = (
+        ["--prices", prices_file, "--min-shares", "0", "--max-shares", "2",
+         "--budget", "9"] if command == "enumerate" else []
+    )
+    code, out, err = run(
+        capsys, [command, *instance, "--samples", "10", "--seed", "-1"]
+    )
+    assert (code, out, err) == (
+        4, "", "error: seed must be nonnegative, got -1\n"
+    )
+    if command == "enumerate":  # without --samples the seed is never used
+        code, _, _ = run(capsys, [command, *instance, "--seed", "-1"])
+        assert code == 0
+
+
+@pytest.mark.parametrize("fit", [["--budget", "12"], ["--beta", "1"]])
+def test_zcheck_without_increments(capsys, prices_file, fit):
+    code, out, err = run(
+        capsys,
+        ["zcheck", "--prices", prices_file, "--min-shares", "2",
+         "--max-shares", "2", *fit],
+    )
+    assert (code, out, err) == (
+        4, "", "error: zcheck needs at least one increment (M > K)\n"
+    )
+
+
+class UnlistedError(AllocError):
+    """An error the exit-code table does not name."""
+
+
+EXIT_CODES = {
+    errors.AllocError: 3,
+    errors.InputError: 4,
+    errors.EmptyPrices: 4,
+    errors.TooFewEnterprises: 4,
+    errors.NonPositivePrice: 4,
+    errors.ScaleMismatch: 4,
+    errors.BoundsInverted: 4,
+    errors.IndexRange: 4,
+    errors.BudgetInfeasible: 2,
+    errors.DegenerateBoundary: 2,
+    errors.DomainError: 3,
+    errors.NoConvergence: 3,
+    errors.RepairFailed: 3,
+    errors.CapExceeded: 5,
+    errors.LowAcceptance: 5,
+    UnlistedError: 3,
+}
+
+
+def test_exit_code_table_names_every_error_class():
+    declared = {
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, AllocError)
+    }
+    assert declared == set(EXIT_CODES) - {UnlistedError}
+
+
+@pytest.mark.parametrize(
+    "error, expected", EXIT_CODES.items(),
+    ids=[cls.__name__ for cls in EXIT_CODES],
+)
+def test_exit_code_per_error_class(capsys, prices_file, monkeypatch,
+                                   error, expected):
+    def fail(_inst):
+        raise error(f"raised {error.__name__}")
+
+    monkeypatch.setattr(solver, "solve_params", fail)
+    code, out, err = run(
+        capsys,
+        ["solve", "--prices", prices_file, "--min-shares", "0",
+         "--max-shares", "2", "--budget", "8"],
+    )
+    assert (code, out, err) == (
+        expected, "", f"error: raised {error.__name__}\n"
+    )
+
+
+REQUIRED = {
+    "solve": ["--prices", "--min-shares", "--max-shares", "--budget"],
+    "enumerate": ["--prices", "--min-shares", "--max-shares", "--budget"],
+    "zcheck": ["--prices", "--min-shares", "--max-shares"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, dropped",
+    [(c, flag) for c, flags in REQUIRED.items() for flag in flags],
+)
+def test_missing_required_flag_is_a_usage_error(capsys, prices_file,
+                                                command, dropped):
+    values = {"--prices": prices_file, "--min-shares": "0",
+              "--max-shares": "2", "--budget": "8"}
+    argv = [command]
+    for flag in REQUIRED[command]:
+        if flag != dropped:
+            argv += [flag, values[flag]]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 4
+    err = capsys.readouterr().err
+    assert err.endswith(
+        f"error: the following arguments are required: {dropped}\n"
+    )
+
+
+# flag, dest, type, default, required; in usage order
+INSTANCE_FLAGS = [
+    ("--prices", "prices_path", None, None, True),
+    ("--min-shares", "min_shares", int, None, True),
+    ("--max-shares", "max_shares", int, None, True),
+    ("--budget", "budget", None, None, True),
+    ("--scale", "scale", int, 10**6, False),
+]
+SAMPLING_FLAGS = [
+    ("--epsilon", "epsilon", float, 0.0, False),
+    ("--samples", "samples", int, None, False),
+    ("--seed", "seed", int, 0, False),
+    ("--cap", "cap", int, oracle.DEFAULT_CAP, False),
+]
+OUT_FLAG = [("--out", "out_path", None, None, False)]
+SUBCOMMAND_FLAGS = {
+    "solve": INSTANCE_FLAGS + OUT_FLAG,
+    "enumerate": INSTANCE_FLAGS + [("--l", "l", int, None, False)]
+    + SAMPLING_FLAGS + OUT_FLAG,
+    "verify": SAMPLING_FLAGS + OUT_FLAG,
+    "zcheck": INSTANCE_FLAGS[:3]
+    + [("--budget", "budget", None, None, False), INSTANCE_FLAGS[4],
+       ("--beta", "beta_override", float, None, False),
+       ("--grid", "grid", int, 4096, False)]
+    + OUT_FLAG,
+}
+
+
+def test_subcommand_flags_and_defaults():
+    parser = build_parser()
+    (commands,) = [
+        a.choices for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert list(commands) == list(SUBCOMMAND_FLAGS)
+    for name, expected in SUBCOMMAND_FLAGS.items():
+        flags = [
+            (a.option_strings[0], a.dest, a.type, a.default, a.required)
+            for a in commands[name]._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        assert flags == expected, name

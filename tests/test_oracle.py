@@ -366,3 +366,8 @@ def test_sampling_zero_count():
     result = sample_uniform(build_example("9"), 0, seed=0)
     assert result.compositions == ()
     assert result.acceptance_rate == 1.0
+
+
+def test_sampling_rejects_negative_seed():
+    with pytest.raises(InputError, match="seed must be nonnegative, got -1"):
+        sample_uniform(build_example("9"), 10, seed=-1)
