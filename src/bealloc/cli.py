@@ -150,7 +150,7 @@ def cmd_solve(args: argparse.Namespace) -> dict:
         "spend": str(alloc.spend),
         "budget_residual": str(alloc.budget_residual),
         "rounding_shift": alloc.rounding_shift,
-        "deviation_budget": float(inst.n) ** 0.75 if inst.n else 0.0,
+        "deviation_budget": oracle.deviation_band(inst.n),
         "effective_budget": format_scaled(effective, scale),
         "effective_budget_first_price": format_scaled(
             first_price_budget, scale
@@ -167,7 +167,20 @@ def _regime_note(inst: ProblemInstance) -> None:
         )
 
 
+def _require_finite(flag: str, value: Optional[float]) -> None:
+    if value is not None and not math.isfinite(value):
+        raise InputError(f"{flag} must be finite, got {value}")
+
+
+def _check_ensemble_flags(args: argparse.Namespace) -> None:
+    """The --epsilon and --cap checks that enumerate and verify share."""
+    _require_finite("--epsilon", args.epsilon)
+    if args.cap < 0:
+        raise InputError(f"--cap must be nonnegative, got {args.cap}")
+
+
 def cmd_enumerate(args: argparse.Namespace) -> dict:
+    _check_ensemble_flags(args)
     inst = _build(args)
     report: dict = {
         "command": "enumerate",
@@ -232,6 +245,7 @@ def _sampled_row_stats(
 
 
 def cmd_verify(args: argparse.Namespace) -> dict:
+    _check_ensemble_flags(args)
     if args.samples == 0:  # each sampled row averages over its draws
         raise InputError("verify --samples must be positive, got 0")
     ns = _VERIFY_EXACT_N if args.samples is None else _VERIFY_SAMPLED_N
@@ -242,7 +256,7 @@ def cmd_verify(args: argparse.Namespace) -> dict:
         inst = families.unit_price_family(n, "mean")
         params = solver.solve_params(inst)
         l = -(-n // 2)  # ceil(s/2) with s = n
-        delta = float(n) ** (0.75 + args.epsilon)
+        delta = oracle.deviation_band(n, args.epsilon)
         if args.samples is None:
             stats = oracle.cumulative_stats(
                 inst, params, l, args.epsilon, args.cap
@@ -286,6 +300,7 @@ def cmd_verify(args: argparse.Namespace) -> dict:
 
 
 def cmd_zcheck(args: argparse.Namespace) -> dict:
+    _require_finite("--beta", args.beta_override)
     inst = _build(args)
     if inst.n < 1:
         raise InputError("zcheck needs at least one increment (M > K)")

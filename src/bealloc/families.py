@@ -5,13 +5,21 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import ScaleMismatch
 from .model import (
     DEFAULT_SCALE,
     InvestmentBounds,
     PriceSchedule,
     ProblemInstance,
-    TailWeights,
 )
+
+
+def _scaled(value: Fraction, scale: int, what: str) -> int:
+    """value * scale as an exact int; ScaleMismatch when it is not one."""
+    scaled = Fraction(value) * scale
+    if scaled.denominator != 1:
+        raise ScaleMismatch(f"{what} is not a multiple of 1/{scale}")
+    return scaled.numerator
 
 
 def from_fractions(
@@ -21,12 +29,21 @@ def from_fractions(
     budget: Fraction,
     scale: int = DEFAULT_SCALE,
 ) -> ProblemInstance:
-    """Assemble a validated instance directly from exact rationals."""
-    schedule = PriceSchedule(prices, scale)
+    """Assemble a validated instance from exact rationals.
+
+    The one entry point for Fraction inputs: prices and budget are converted
+    once to integer numerators at the scale.
+    """
+    schedule = PriceSchedule(
+        tuple(
+            _scaled(p, scale, f"price {i + 1} = {p}")
+            for i, p in enumerate(prices)
+        ),
+        scale,
+    )
+    phi = _scaled(budget, scale, f"budget {Fraction(budget)}")
     return ProblemInstance(
-        schedule,
-        InvestmentBounds(min_shares, max_shares, budget),
-        TailWeights.from_schedule(schedule),
+        schedule, InvestmentBounds(min_shares, max_shares, phi, scale)
     )
 
 
@@ -57,11 +74,10 @@ def with_total(instance: ProblemInstance, n: int) -> ProblemInstance:
     Used by the partition doubling schedule, where only the mode weights,
     their degeneracies and the unit total matter.
     """
-    k = instance.bounds.min_shares
-    lam1 = instance.weights.numerators[0]
+    k, scale = instance.bounds.min_shares, instance.scale
+    phi = (k + n) * instance.weights.numerators[0]
     return ProblemInstance(
         instance.schedule,
-        InvestmentBounds.from_scaled(k, k + n, (k + n) * lam1, instance.scale),
-        instance.weights,
-        degeneracies=instance.degeneracies,
+        InvestmentBounds(k, k + n, phi, scale),
+        instance.degeneracies,
     )

@@ -1,4 +1,4 @@
-"""Domain model: price schedules, share bounds, tail weights, problem instances.
+"""Domain model: price schedules, share bounds, problem instances.
 
 An instance describes s enterprises ordered by priority, each with a strictly
 positive unit price p_i. A portfolio assigns every enterprise a share count
@@ -12,13 +12,16 @@ the marginal cost of raising every count from position i onward by one.
 Total spending is K*lambda_1 plus the mode energy sum(N_i * lambda_i), so a
 budget Phi leaves the effective budget E = Phi - K*lambda_1 for the modes.
 
-An instance stores every price, tail weight and budget as an exact integer
-numerator over one common denominator, the instance `scale`. Decimal
-strings are parsed straight to those integers, the tail weights are integer
-suffix sums, and every validation is an integer comparison; feasibility
-decisions never go through floats. The Fraction attributes (`prices`,
-`values`, `mode_weights`, `budget`, `effective_budget`) are views derived
-from the integers on demand.
+An instance is its prices, its bounds (K, M and the budget Phi) and its mode
+degeneracies, with every price and the budget held as an exact integer
+numerator over one common denominator, the instance `scale`. The tail
+weights are not an input: they are derived from the prices as integer
+suffix sums. `build_instance` parses decimal strings straight to those
+integers and `families.from_fractions` converts exact rationals once; each
+part has the one constructor that takes the integers. Every validation is
+an integer comparison, so feasibility decisions never go through floats.
+The Fraction attributes (`prices`, `values`, `mode_weights`, `budget`,
+`effective_budget`) are views derived from the integers on demand.
 """
 
 from __future__ import annotations
@@ -102,34 +105,9 @@ def parse_scaled(text: str, scale: int, what: str) -> int:
     return int(parse_decimal(text, scale, what) * scale)
 
 
-def _rescale(numerator: int, scale: int, target: int, what: str) -> int:
-    """numerator / scale as an exact numerator over target."""
-    value, rest = divmod(numerator * target, scale)
-    if rest:
-        raise ScaleMismatch(
-            f"{what} {format_scaled(numerator, scale)} is not a multiple "
-            f"of 1/{target}"
-        )
-    return value
-
-
-def _set_fields(obj: object, **values: object) -> None:
-    for name, value in values.items():
-        object.__setattr__(obj, name, value)
-
-
-def _check_schedule_shape(size: int, scale: int) -> None:
-    if scale <= 0:
-        raise InputError(f"scale must be positive, got {scale}")
-    if not size:
-        raise EmptyPrices("price schedule is empty")
-    if size < 2:
-        raise TooFewEnterprises(f"need at least 2 enterprises, got {size}")
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PriceSchedule:
-    """Strictly positive unit prices in priority order, with their scale.
+    """Strictly positive unit prices in priority order, at one scale.
 
     numerators[i] is price i+1 times scale; `prices` is the Fraction view.
     """
@@ -137,37 +115,27 @@ class PriceSchedule:
     numerators: tuple[int, ...]
     scale: int
 
-    def __init__(
-        self, prices: Iterable[Fraction], scale: int = DEFAULT_SCALE
-    ) -> None:
-        prices = tuple(prices)
-        _check_schedule_shape(len(prices), scale)
-        numerators = []
-        for i, p in enumerate(prices):
-            if p <= 0:
-                raise NonPositivePrice(f"price {i + 1} is {p}; must be > 0")
-            scaled = Fraction(p) * scale
-            if scaled.denominator != 1:
-                raise ScaleMismatch(
-                    f"price {i + 1} = {p} is not a multiple of 1/{scale}"
-                )
-            numerators.append(scaled.numerator)
-        _set_fields(self, numerators=tuple(numerators), scale=scale)
-
-    @classmethod
-    def from_scaled(
-        cls, numerators: tuple[int, ...], scale: int
-    ) -> "PriceSchedule":
-        """The schedule of prices numerators[i] / scale."""
-        _check_schedule_shape(len(numerators), scale)
-        if min(numerators) <= 0:
-            i, v = next((i, v) for i, v in enumerate(numerators) if v <= 0)
+    def __post_init__(self) -> None:
+        nums, scale = self.numerators, self.scale
+        if scale <= 0:
+            raise InputError(f"scale must be positive, got {scale}")
+        if not nums:
+            raise EmptyPrices("price schedule is empty")
+        if len(nums) < 2:
+            raise TooFewEnterprises(
+                f"need at least 2 enterprises, got {len(nums)}"
+            )
+        # set/map/min run in C: no per-price Python loop on valid input
+        if set(map(type, nums)) != {int}:
+            i, v = next(
+                (i, v) for i, v in enumerate(nums) if type(v) is not int
+            )
+            raise InputError(f"price {i + 1} numerator {v!r} is not an int")
+        if min(nums) <= 0:
+            i, v = next((i, v) for i, v in enumerate(nums) if v <= 0)
             raise NonPositivePrice(
                 f"price {i + 1} is {format_scaled(v, scale)}; must be > 0"
             )
-        schedule = object.__new__(cls)
-        _set_fields(schedule, numerators=numerators, scale=scale)
-        return schedule
 
     @property
     def size(self) -> int:
@@ -183,7 +151,7 @@ class PriceSchedule:
         return self.numerators
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class InvestmentBounds:
     """Common lower/upper share counts K <= M and the total budget Phi.
 
@@ -195,36 +163,21 @@ class InvestmentBounds:
     budget_numerator: int
     scale: int
 
-    def __init__(
-        self, min_shares: int, max_shares: int, budget: Fraction
-    ) -> None:
-        phi = Fraction(budget)
-        self._fill(min_shares, max_shares, phi.numerator, phi.denominator)
-
-    @classmethod
-    def from_scaled(
-        cls, min_shares: int, max_shares: int, budget: int, scale: int
-    ) -> "InvestmentBounds":
-        """Bounds K, M with the budget Phi = budget / scale."""
-        bounds = object.__new__(cls)
-        bounds._fill(min_shares, max_shares, budget, scale)
-        return bounds
-
-    def _fill(self, k: int, m: int, budget: int, scale: int) -> None:
+    def __post_init__(self) -> None:
+        k, m, budget = self.min_shares, self.max_shares, self.budget_numerator
         if k < 0 or m < 0:
             raise InputError(
                 f"share bounds must be nonnegative, got K={k}, M={m}"
             )
         if k > m:
             raise BoundsInverted(f"K={k} exceeds M={m}")
+        if type(budget) is not int:
+            raise InputError(f"budget numerator {budget!r} is not an int")
         if budget <= 0:
             raise InputError(
-                f"budget must be positive, got {format_scaled(budget, scale)}"
+                f"budget must be positive, "
+                f"got {format_scaled(budget, self.scale)}"
             )
-        _set_fields(
-            self, min_shares=k, max_shares=m, budget_numerator=budget,
-            scale=scale,
-        )
 
     @property
     def budget(self) -> Fraction:
@@ -236,130 +189,66 @@ class InvestmentBounds:
         return self.max_shares - self.min_shares
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class TailWeights:
-    """Suffix sums lambda_i = p_i + ... + p_s; strictly decreasing.
+    """Suffix sums lambda_i = p_i + ... + p_s of a schedule, at its scale.
 
     numerators[i] is lambda_{i+1} times scale; `values` is the Fraction view.
+    Only ProblemInstance.weights builds them, from positive prices, so they
+    strictly decrease and stay positive.
     """
 
     numerators: tuple[int, ...]
     scale: int
-
-    def __init__(self, values: Sequence[Fraction]) -> None:
-        values = tuple(Fraction(v) for v in values)
-        if len(values) < 2:
-            raise TooFewEnterprises("tail weights need at least 2 entries")
-        scale = math.lcm(*(v.denominator for v in values))
-        nums = tuple(v.numerator * (scale // v.denominator) for v in values)
-        for a, b in zip(nums, nums[1:]):
-            if a <= b:
-                raise InputError(
-                    f"tail weights must strictly decrease, got "
-                    f"{format_scaled(a, scale)} then {format_scaled(b, scale)}"
-                )
-        if nums[-1] <= 0:
-            raise NonPositivePrice("tail weights must stay positive")
-        _set_fields(self, numerators=nums, scale=scale)
-
-    @classmethod
-    def from_schedule(cls, schedule: PriceSchedule) -> "TailWeights":
-        # suffix sums of positive prices: strictly decreasing and positive
-        return cls._of(
-            tuple(accumulate(reversed(schedule.numerators)))[::-1],
-            schedule.scale,
-        )
-
-    @classmethod
-    def _of(cls, numerators: tuple[int, ...], scale: int) -> "TailWeights":
-        weights = object.__new__(cls)
-        _set_fields(weights, numerators=numerators, scale=scale)
-        return weights
 
     @cached_property
     def values(self) -> tuple[Fraction, ...]:
         """The weights as exact Fractions."""
         return tuple(Fraction(v, self.scale) for v in self.numerators)
 
-    def scaled(self, scale: int) -> tuple[int, ...]:
-        """The weights as exact integers at the given scale."""
-        if scale == self.scale:
-            return self.numerators
-        return tuple(
-            _rescale(v, self.scale, scale, "tail weight")
-            for v in self.numerators
-        )
 
-
-def tail_weights(schedule: PriceSchedule) -> TailWeights:
-    """Tail weights of a schedule: lambda_i = sum of prices i..s."""
-    return TailWeights.from_schedule(schedule)
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ProblemInstance:
-    """A validated allocation problem.
+    """A validated allocation problem: prices, bounds and degeneracies.
 
-    n = M - K units go over modes 2..s and the effective budget is
-    E = Phi - K*lambda_1; both are derived from the bounds and weights.
-    degeneracies holds one multiplicity per mode (all 1 unless modes are
-    explicitly duplicated). The bounds and weights are held at the
-    schedule's scale.
+    The schedule and the bounds share one scale. The tail weights, n = M - K
+    and the effective budget E = Phi - K*lambda_1 are derived from them.
+    degeneracies holds one multiplicity per mode 2..s; () means all 1.
     """
 
     schedule: PriceSchedule
     bounds: InvestmentBounds
-    weights: TailWeights
-    degeneracies: tuple[int, ...]
+    degeneracies: tuple[int, ...] = ()
 
-    def __init__(
-        self,
-        schedule: PriceSchedule,
-        bounds: InvestmentBounds,
-        weights: TailWeights,
-        n: Optional[int] = None,
-        effective_budget: Optional[Fraction] = None,
-        degeneracies: Sequence[int] = (),
-    ) -> None:
-        """n and effective_budget, when given, must match the derived ones."""
-        s = schedule.size
-        if len(weights.numerators) != s:
-            raise InputError("weights do not match the schedule length")
-        degeneracies = tuple(degeneracies) or (1,) * (s - 1)
+    def __post_init__(self) -> None:
+        s, scale = self.schedule.size, self.schedule.scale
+        degeneracies = tuple(self.degeneracies) or (1,) * (s - 1)
         if len(degeneracies) != s - 1:
             raise InputError("need one degeneracy per mode 2..s")
         if any(q < 1 for q in degeneracies):
             raise InputError("degeneracies must be >= 1")
-        if n is not None and n != bounds.span:
-            raise InputError("n must equal M - K")
-        scale = schedule.scale
-        if bounds.scale != scale:
-            bounds = InvestmentBounds.from_scaled(
-                bounds.min_shares,
-                bounds.max_shares,
-                _rescale(bounds.budget_numerator, bounds.scale, scale, "budget"),
-                scale,
+        object.__setattr__(self, "degeneracies", degeneracies)
+        if self.bounds.scale != scale:
+            raise ScaleMismatch(
+                f"bounds scale {self.bounds.scale} differs from the schedule "
+                f"scale {scale}"
             )
-        if weights.scale != scale:
-            weights = TailWeights._of(weights.scaled(scale), scale)
-        lam1 = weights.numerators[0]
-        phi = bounds.budget_numerator
-        low = bounds.min_shares * lam1
-        high = bounds.max_shares * lam1
+        lam1 = self.weights.numerators[0]
+        phi = self.bounds.budget_numerator
+        low = self.bounds.min_shares * lam1
+        high = self.bounds.max_shares * lam1
         if not (low <= phi <= high):
             raise BudgetInfeasible(
                 f"budget {format_scaled(phi, scale)} outside the feasible "
                 f"window [{format_scaled(low, scale)}, "
                 f"{format_scaled(high, scale)}] = [K*lambda_1, M*lambda_1]"
             )
-        if effective_budget is not None and (
-            Fraction(effective_budget) * scale != phi - low
-        ):
-            raise InputError("effective budget must equal Phi - K*lambda_1")
-        _set_fields(
-            self, schedule=schedule, bounds=bounds, weights=weights,
-            degeneracies=degeneracies,
-        )
+
+    @cached_property
+    def weights(self) -> TailWeights:
+        """lambda_i = p_i + ... + p_s: the schedule's integer suffix sums."""
+        nums = self.schedule.numerators
+        return TailWeights(tuple(accumulate(reversed(nums)))[::-1], self.scale)
 
     @property
     def size(self) -> int:
@@ -446,22 +335,20 @@ def build_instance(
     prices = tuple(prices)  # read a one-shot iterable once
     if not prices:
         raise EmptyPrices("price schedule is empty")
-    schedule = PriceSchedule.from_scaled(
+    schedule = PriceSchedule(
         tuple(
             parse_scaled(p, scale, f"price {i + 1}")
             for i, p in enumerate(prices)
         ),
         scale,
     )
-    weights = TailWeights.from_schedule(schedule)
     phi = (
-        max_shares * weights.numerators[0]
+        max_shares * sum(schedule.numerators)  # M * lambda_1
         if budget is None
         else parse_scaled(budget, scale, "budget")
     )
     return ProblemInstance(
         schedule,
-        InvestmentBounds.from_scaled(min_shares, max_shares, phi, scale),
-        weights,
-        degeneracies=degeneracies or (),
+        InvestmentBounds(min_shares, max_shares, phi, scale),
+        degeneracies or (),
     )

@@ -210,6 +210,19 @@ def count_configurations(
     )
 
 
+def deviation_band(n: int, epsilon: float = 0.0) -> float:
+    """The concentration band delta = n^(3/4 + epsilon); 0.0 at n = 0."""
+    if not n:
+        return 0.0
+    try:
+        return float(n) ** (0.75 + epsilon)
+    except OverflowError as exc:
+        raise InputError(
+            f"band n^(3/4 + epsilon) overflows a float at n = {n}, "
+            f"epsilon = {epsilon}"
+        ) from exc
+
+
 def cumulative_stats(
     instance: ProblemInstance,
     params: ThermoParams,
@@ -225,6 +238,7 @@ def cumulative_stats(
     s = instance.size
     if l < 2 or l > s:
         raise IndexRange(f"l = {l} outside 2..{s}")
+    delta = deviation_band(instance.n, epsilon)
     _cap_guard(instance, cap)
     lams = instance._expanded_modes
     lead = sum(instance.degeneracies[: l - 1])  # slots that count into S_l
@@ -272,7 +286,6 @@ def cumulative_stats(
         raise DegenerateBoundary("configuration set is empty")
 
     center = predicted_cumulative(instance, params, l)
-    delta = float(instance.n) ** (0.75 + epsilon) if instance.n else 0.0
     bad = sum(c for a, c in hist.items() if abs(a - center) >= delta)
 
     # prefix-sum the expanded-slot totals, read at each enterprise's last slot

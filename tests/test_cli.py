@@ -258,6 +258,36 @@ def test_exit_code_cap(capsys, prices_file):
     assert "exceeds cap" in err
 
 
+BAD_FLAG_VALUES = [
+    (["enumerate", "--cap", "-1"], "--cap must be nonnegative, got -1"),
+    (["verify", "--cap", "-1"], "--cap must be nonnegative, got -1"),
+    (["enumerate", "--epsilon", "nan"], "--epsilon must be finite, got nan"),
+    (["enumerate", "--l", "2", "--epsilon=-inf"],
+     "--epsilon must be finite, got -inf"),
+    (["verify", "--epsilon", "nan"], "--epsilon must be finite, got nan"),
+    (["verify", "--epsilon", "inf"], "--epsilon must be finite, got inf"),
+    (["zcheck", "--beta", "nan"], "--beta must be finite, got nan"),
+    (["zcheck", "--beta", "inf"], "--beta must be finite, got inf"),
+    (["verify", "--epsilon", "1000"],
+     "band n^(3/4 + epsilon) overflows a float at n = 6, epsilon = 1000.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", BAD_FLAG_VALUES,
+    ids=[" ".join(argv) for argv, _ in BAD_FLAG_VALUES],
+)
+def test_bad_flag_value_is_an_input_error(capsys, prices_file, argv,
+                                          message):
+    command, *flags = argv
+    instance = [] if command == "verify" else [
+        "--prices", prices_file, "--min-shares", "0", "--max-shares", "2",
+        "--budget", "9",
+    ]
+    code, out, err = run(capsys, [command, *instance, *flags])
+    assert (code, out, err) == (4, "", f"error: {message}\n")
+
+
 def test_prices_file_with_indices(tmp_path, capsys):
     path = tmp_path / "indexed.csv"
     path.write_text("1,1\n2,2\n3,3\n")

@@ -1,7 +1,9 @@
 """Instance construction, validation, and exact arithmetic."""
 
+import inspect
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -15,12 +17,13 @@ from bealloc import (
     PriceSchedule,
     ProblemInstance,
     ScaleMismatch,
-    TailWeights,
     TooFewEnterprises,
+    build_allocation,
     build_instance,
     energy_range,
+    from_fractions,
     parse_decimal,
-    tail_weights,
+    solve_params,
 )
 from bealloc.model import parse_scaled
 from conftest import random_instance
@@ -126,13 +129,6 @@ def test_energy_range_example():
     assert energy_range(build_example()) == (Fraction(6), Fraction(10))
 
 
-def test_tail_weights_strictly_decrease():
-    sched = PriceSchedule((Fraction(1), Fraction(2), Fraction(3)))
-    assert tail_weights(sched).values == (6, 5, 3)
-    with pytest.raises(InputError, match="strictly decrease"):
-        TailWeights((Fraction(3), Fraction(3)))
-
-
 def test_schedule_rejections():
     with pytest.raises(EmptyPrices):
         build_instance([], 0, 1, "1")
@@ -146,11 +142,11 @@ def test_schedule_rejections():
 
 def test_bounds_rejections():
     with pytest.raises(BoundsInverted):
-        InvestmentBounds(3, 2, Fraction(10))
+        InvestmentBounds(3, 2, 10, 1)
     with pytest.raises(InputError):
-        InvestmentBounds(-1, 2, Fraction(10))
+        InvestmentBounds(-1, 2, 10, 1)
     with pytest.raises(InputError):
-        InvestmentBounds(0, 2, Fraction(0))
+        InvestmentBounds(0, 2, 0, 1)
 
 
 def test_budget_window_low_and_high():
@@ -173,33 +169,42 @@ def test_degeneracies_validated():
         build_instance(["1", "2", "3"], 0, 2, "8", degeneracies=[0, 1])
 
 
-def test_instance_cross_checks():
-    sched = PriceSchedule((Fraction(1), Fraction(2), Fraction(3)))
-    bounds = InvestmentBounds(0, 2, Fraction(8))
-    weights = tail_weights(sched)
-    with pytest.raises(InputError, match="n must equal"):
-        ProblemInstance(sched, bounds, weights, 3, Fraction(8))
-    with pytest.raises(InputError, match="effective budget"):
-        ProblemInstance(sched, bounds, weights, 2, Fraction(7))
-
-
 def test_parts_are_held_at_the_schedule_scale():
-    sched = PriceSchedule((Fraction(1), Fraction(2), Fraction(3)))
-    inst = ProblemInstance(
-        sched, InvestmentBounds(0, 2, Fraction(8)), TailWeights((6, 5, 3))
-    )
+    prices = (Fraction(1), Fraction(2), Fraction(3))
+    inst = from_fractions(prices, 0, 2, Fraction(8))
     assert inst == build_example()
     assert inst.bounds.scale == inst.weights.scale == inst.scale
-    with pytest.raises(ScaleMismatch, match="budget 25/3"):
-        ProblemInstance(
-            sched, InvestmentBounds(0, 2, Fraction(25, 3)), tail_weights(sched)
-        )
-    with pytest.raises(ScaleMismatch, match="tail weight 1/3"):
-        ProblemInstance(
-            sched,
-            InvestmentBounds(0, 2, Fraction(8)),
-            TailWeights((6, 5, Fraction(1, 3))),
-        )
+    with pytest.raises(
+        ScaleMismatch, match=r"^budget 25/3 is not a multiple of 1/1000000$"
+    ):
+        from_fractions(prices, 0, 2, Fraction(25, 3))
+    with pytest.raises(
+        ScaleMismatch, match=r"^price 3 = 1/3 is not a multiple of 1/1000000$"
+    ):
+        from_fractions((6, 5, Fraction(1, 3)), 0, 2, Fraction(8))
+    # bounds at another scale are refused, never rescaled
+    with pytest.raises(ScaleMismatch, match="bounds scale 1 differs"):
+        ProblemInstance(inst.schedule, InvestmentBounds(0, 2, 8, 1))
+
+
+def test_each_part_takes_integers_only():
+    with pytest.raises(InputError, match="price 1 numerator"):
+        PriceSchedule((Fraction(1), Fraction(2)), 10**6)
+    with pytest.raises(InputError, match="budget numerator"):
+        InvestmentBounds(0, 2, Fraction(8), 10**6)
+    with pytest.raises(InputError, match="scale must be positive"):
+        PriceSchedule((1, 2), 0)
+    with pytest.raises(NonPositivePrice, match="price 2 is -1/2"):
+        PriceSchedule((1, -1), 2)
+    # the tail weights are derived, so they cannot disagree with the prices
+    assert list(inspect.signature(ProblemInstance).parameters) == [
+        "schedule", "bounds", "degeneracies",
+    ]
+    inst = ProblemInstance(
+        PriceSchedule((1, 2, 3), 1), InvestmentBounds(1, 3, 18, 1)
+    )
+    assert inst.weights.numerators == (6, 5, 3)
+
 
 
 def test_scaled_views_are_exact_ints():
@@ -245,3 +250,19 @@ def test_random_instances_satisfy_invariants():
         assert low < inst.effective_budget < high
         k, lam1 = inst.bounds.min_shares, vals[0]
         assert inst.effective_budget == inst.bounds.budget - k * lam1
+
+
+def test_weights_and_spend_follow_the_prices():
+    """One integer view: the weights are the price suffix sums, and the
+    allocation's spend is what its counts cost at the schedule's prices."""
+    rng = random.Random(808)
+    for _ in range(100):
+        inst = random_instance(rng, s_max=20, n_max=20)
+        nums = inst.schedule.numerators
+        assert inst.weights.numerators == tuple(
+            accumulate(reversed(nums))
+        )[::-1]
+        alloc = build_allocation(inst, solve_params(inst))
+        assert alloc.spend == sum(
+            c * p for c, p in zip(alloc.counts, inst.schedule.prices)
+        )

@@ -41,11 +41,12 @@ def cents_schedule(rng, s):
 def placed(base, n, percent):
     """base's schedule with K = 0, M = n and the effective budget at percent
     of the attainable range (n*lambda_s, n*lambda_2)."""
-    lam = base.weights.values
+    lam = base.weights.numerators
     low, high = n * lam[-1], n * lam[1]
-    phi = low + Fraction(percent, 100) * (high - low)
+    phi, rest = divmod(100 * low + percent * (high - low), 100)
+    assert rest == 0  # cent prices: phi is exact at the scale
     return dataclasses.replace(
-        base, bounds=InvestmentBounds(0, n, phi), n=n, effective_budget=phi
+        base, bounds=InvestmentBounds(0, n, phi, base.scale)
     )
 
 
