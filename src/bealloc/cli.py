@@ -252,11 +252,13 @@ def cmd_verify(args: argparse.Namespace) -> dict:
     rows = []
     devs: list[float] = []
     shells: list[float] = []
-    for offset, n in enumerate(ns):
+    # the bands depend only on n and epsilon: reject an overflowing one
+    # before any row is fitted
+    bands = [oracle.deviation_band(n, args.epsilon) for n in ns]
+    for offset, (n, delta) in enumerate(zip(ns, bands)):
         inst = families.unit_price_family(n, "mean")
         params = solver.solve_params(inst)
         l = -(-n // 2)  # ceil(s/2) with s = n
-        delta = oracle.deviation_band(n, args.epsilon)
         if args.samples is None:
             stats = oracle.cumulative_stats(
                 inst, params, l, args.epsilon, args.cap
@@ -301,6 +303,7 @@ def cmd_verify(args: argparse.Namespace) -> dict:
 
 def cmd_zcheck(args: argparse.Namespace) -> dict:
     _require_finite("--beta", args.beta_override)
+    partition.check_grid(args.grid)
     inst = _build(args)
     if inst.n < 1:
         raise InputError("zcheck needs at least one increment (M > K)")

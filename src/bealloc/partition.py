@@ -23,7 +23,13 @@ count constraint sigma, and the Gaussian approximation around it gives
 
 with d2 the second nu-derivative of log zeta. A trapezoid quadrature of the
 exact contour integral over [-pi, pi] provides an independent cross-check
-that converges spectrally in the grid size.
+that converges spectrally in the grid size. Its integrand needs
+1/zeta(beta, nu + i*alpha) = prod_j (1 - r_j*exp(i*alpha))^q_j, with
+r_j = exp(nu - beta*lambda_j) < 1, which is formed as a running product over
+blocks of distinct modes, raising each to its degeneracy by squaring, and
+rescaled by a power of two after every block; so the quadrature takes one
+logarithm per grid point, none per mode, and holds only a block of modes
+times the grid in memory.
 """
 
 from __future__ import annotations
@@ -41,6 +47,11 @@ from .solver import mode_offsets, occupancy_sums, solve_sigma
 DP_MAX_UNITS = 10**4
 DP_MAX_MODES = 10**3
 MIN_GRID = 64
+# Distinct modes per block of the contour product. Each factor
+# 1 - r*exp(i*alpha) has modulus in [1 - r, 2), and 1 - r >= 2^-53 for any
+# double r < 1, so a block's product lies within [2^-848, 2^16] and a
+# rescaled mantissa times it stays a normal float.
+BLOCK_MODES = 16
 
 
 class ScaledReal(NamedTuple):
@@ -140,6 +151,48 @@ def z_saddle(instance: ProblemInstance, beta: float) -> PartitionEstimate:
     )
 
 
+def check_grid(grid: int) -> None:
+    """Reject a quadrature grid below MIN_GRID points."""
+    if grid < MIN_GRID:
+        raise InputError(f"grid must be >= {MIN_GRID}, got {grid}")
+
+
+def _rescale(mantissa: np.ndarray, exponent: np.ndarray) -> None:
+    """Scale mantissa in place to modulus [0.5, 1), adding the power of two
+    taken out to exponent."""
+    _, power = np.frexp(np.abs(mantissa))
+    mantissa *= np.ldexp(1.0, -power)
+    exponent += power
+
+
+def _contour_product(
+    r: np.ndarray, q: np.ndarray, turn: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """prod_j (1 - r_j*turn)^q_j at every grid point, as mantissa * 2^exponent.
+
+    Squares the running product once per bit of the largest q_j, highest
+    bit first, and multiplies in the modes whose q_j has that bit, in blocks
+    of BLOCK_MODES rows. The mantissa is rescaled after every squaring and
+    every block, so no step leaves float range.
+    """
+    mantissa = np.ones(turn.shape, dtype=complex)
+    exponent = np.zeros(turn.shape, dtype=np.int64)
+    block = np.empty((BLOCK_MODES, turn.size), dtype=complex)
+    for bit in reversed(range(int(q.max()).bit_length())):
+        mantissa *= mantissa
+        exponent *= 2
+        _rescale(mantissa, exponent)
+        ratios = r[(q >> bit) & 1 == 1]
+        for start in range(0, ratios.size, BLOCK_MODES):
+            chunk = ratios[start : start + BLOCK_MODES]
+            factors = block[: chunk.size]
+            np.multiply.outer(chunk, turn, out=factors)
+            np.subtract(1.0, factors, out=factors)
+            mantissa *= np.multiply.reduce(factors, axis=0)
+            _rescale(mantissa, exponent)
+    return mantissa, exponent
+
+
 def z_integral(
     instance: ProblemInstance, beta: float, nu: float, grid: int = 4096
 ) -> ScaledReal:
@@ -149,20 +202,29 @@ def z_integral(
             exp(-i*N*alpha) * zeta(beta, nu + i*alpha) d(alpha).
 
     The integrand is smooth and periodic, so the uniform-grid sum converges
-    spectrally; grid must be at least 64.
+    spectrally; grid must be at least 64. With zeta = 1/P and P the
+    blocked, rescaled product of `_contour_product` over r_j = exp(-x_j),
+    the integrand is exp(-log|P| - shift) * (|P|/P) * exp(-i*N*alpha), with
+    shift the largest -log|P|: one logarithm per grid point.
     """
-    if grid < MIN_GRID:
-        raise InputError(f"grid must be >= {MIN_GRID}, got {grid}")
+    check_grid(grid)
     modes = mode_offsets(instance, beta)
-    x = np.repeat(beta * modes.d + modes.x0(beta, nu), instance.degeneracies)
+    r = np.exp(-(beta * modes.d + modes.x0(beta, nu)))
+    if not r.max() < 1.0:
+        raise DomainError(f"nu = {nu} is within float resolution of a pole")
     n = instance.n
     alphas = -math.pi + (2.0 * math.pi / grid) * np.arange(grid)
-    t = np.exp(-x)[:, None] * np.exp(1j * alphas)[None, :]
-    log_zeta = -np.sum(np.log(1.0 - t), axis=0)
-    log_integrand = log_zeta - 1j * n * alphas
-    shift = float(log_integrand.real.max())
-    total = complex(np.exp(log_integrand - shift).sum())
-    value = total.real / grid
+    mantissa, exponent = _contour_product(
+        r, np.asarray(instance.degeneracies), np.exp(1j * alphas)
+    )
+    modulus = np.abs(mantissa)
+    log_zeta = -(np.log(modulus) + math.log(2.0) * exponent)
+    shift = float(log_zeta.max())
+    integrand = (
+        np.exp(log_zeta - shift) * (modulus / mantissa)
+        * np.exp(-1j * n * alphas)
+    )
+    value = float(integrand.real.sum()) / grid
     if value <= 0:
         raise DomainError(
             f"quadrature collapsed to a nonpositive value ({value:.3e}); "

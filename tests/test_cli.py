@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import bealloc
-from bealloc import errors, oracle, solver
+from bealloc import cli, errors, oracle, partition, solver
 from bealloc.cli import build_parser, main, read_prices
 from bealloc.errors import AllocError, InputError
 
@@ -270,6 +270,7 @@ BAD_FLAG_VALUES = [
     (["zcheck", "--beta", "inf"], "--beta must be finite, got inf"),
     (["verify", "--epsilon", "1000"],
      "band n^(3/4 + epsilon) overflows a float at n = 6, epsilon = 1000.0"),
+    (["zcheck", "--grid", "32"], "grid must be >= 64, got 32"),
 ]
 
 
@@ -277,8 +278,16 @@ BAD_FLAG_VALUES = [
     "argv, message", BAD_FLAG_VALUES,
     ids=[" ".join(argv) for argv, _ in BAD_FLAG_VALUES],
 )
-def test_bad_flag_value_is_an_input_error(capsys, prices_file, argv,
-                                          message):
+def test_bad_flag_value_is_an_input_error(capsys, prices_file, monkeypatch,
+                                          argv, message):
+    # a bad flag value is rejected before any instance is built or fitted
+    def fail(*_args, **_kwargs):
+        pytest.fail("work done before the flag check")
+
+    monkeypatch.setattr(cli, "_build", fail)
+    monkeypatch.setattr(solver, "solve_params", fail)
+    monkeypatch.setattr(partition, "z_saddle", fail)
+    monkeypatch.setattr(partition, "z_exact", fail)
     command, *flags = argv
     instance = [] if command == "verify" else [
         "--prices", prices_file, "--min-shares", "0", "--max-shares", "2",

@@ -2,8 +2,11 @@
 
 import math
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bealloc import (
@@ -22,6 +25,7 @@ from bealloc import (
     z_saddle,
 )
 from bealloc.partition import DP_MAX_MODES, DP_MAX_UNITS
+from bealloc.solver import mode_offsets
 from conftest import decimal_string, random_instance
 
 LN2 = math.log(2.0)
@@ -238,12 +242,100 @@ def test_z_integral_random_contours():
         )
 
 
+def cent_instance(rng, modes, n, max_q=1):
+    """modes distinct cent-priced modes with degeneracies from 1..max_q and
+    n units; the budget sits at the top, so it never binds."""
+    cents = [rng.randint(1, 10000) for _ in range(modes + 1)]
+    prices = [decimal_string(Fraction(c, 100)) for c in cents]
+    degeneracies = [rng.randint(1, max_q) for _ in range(modes)]
+    budget = decimal_string(n * Fraction(sum(cents), 100))
+    return build_instance(prices, 0, n, budget, degeneracies=degeneracies)
+
+
+def reference_log_z_integral(inst, beta, nu, grid):
+    """The complex-log kernel the blocked product replaced: one row per
+    expanded mode and a complex log of every (mode, grid point) entry."""
+    modes = mode_offsets(inst, beta)
+    x = np.repeat(beta * modes.d + modes.x0(beta, nu), inst.degeneracies)
+    alphas = -math.pi + (2.0 * math.pi / grid) * np.arange(grid)
+    t = np.exp(-x)[:, None] * np.exp(1j * alphas)[None, :]
+    log_integrand = -np.sum(np.log(1.0 - t), axis=0) - 1j * inst.n * alphas
+    shift = float(log_integrand.real.max())
+    value = complex(np.exp(log_integrand - shift).sum()).real / grid
+    return math.log(value) + shift - nu * inst.n
+
+
+# (distinct modes, units, grid, largest degeneracy, sign of beta); at most
+# DP_MAX_MODES expanded modes and DP_MAX_UNITS units
+REFERENCE_CASES = [
+    (11, 10, 64, 3, -1),
+    (11, 10, 64, 1, 0),
+    (40, 300, 4096, 2, 1),
+    (60, 1000, 8192, 3, -1),
+    (333, 2500, 4096, 3, 0),
+    (200, DP_MAX_UNITS, 8192, 3, 1),
+    (999, DP_MAX_UNITS, 4096, 1, -1),
+    (999, 40, 4096, 1, 1),
+]
+
+
+@pytest.mark.parametrize("modes, n, grid, max_q, sign", REFERENCE_CASES)
+def test_z_integral_matches_reference_kernel(modes, n, grid, max_q, sign):
+    rng = random.Random(f"{modes}:{n}:{grid}:{max_q}:{sign}")
+    inst = cent_instance(rng, modes, n, max_q)
+    assert max(inst.degeneracies) == max_q
+    assert sum(inst.degeneracies) <= DP_MAX_MODES
+    beta = sign * 10.0 ** rng.uniform(-4.0, -1.0)
+    nu = saddle_nu(inst, beta)
+    assert z_integral(inst, beta, nu, grid).log == pytest.approx(
+        reference_log_z_integral(inst, beta, nu, grid), rel=1e-12
+    )
+
+
+def test_z_integral_product_beyond_float_range():
+    # 999 modes next to the pole at DP_MAX_UNITS units: the product
+    # prod_j (1 - r_j)^q_j at alpha = 0 underflows a double unless rescaled
+    inst = cent_instance(random.Random(5), 999, DP_MAX_UNITS)
+    beta = 3e-5
+    nu = saddle_nu(inst, beta)
+    modes = mode_offsets(inst, beta)
+    x0 = modes.x0(beta, nu)
+    assert x0 < 1e-3
+    log_product = float(modes.q @ np.log(-np.expm1(-(beta * modes.d + x0))))
+    assert log_product < math.log(sys.float_info.min)
+    zq = z_integral(inst, beta, nu)
+    assert math.isfinite(zq.log)
+    assert zq.log == pytest.approx(
+        reference_log_z_integral(inst, beta, nu, 4096), rel=1e-12
+    )
+
+
+def test_z_integral_memory_below_one_mode_grid_array():
+    # the complex-log kernel held 999 x 4096 complex entries (65 MB) at once
+    grid = 4096
+    inst = cent_instance(random.Random(7), 999, 40)
+    beta = 0.01
+    nu = saddle_nu(inst, beta)
+    z_integral(inst, beta, nu, grid)
+    tracemalloc.start()
+    try:
+        z_integral(inst, beta, nu, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    one_array = 999 * grid * np.dtype(complex).itemsize
+    assert peak < one_array / 16
+
+
 def test_z_integral_guards():
     inst = build_example()
     with pytest.raises(InputError):
         z_integral(inst, 0.0, -LN2, grid=32)
     with pytest.raises(DomainError):
         z_integral(inst, 0.0, 0.5, grid=64)
+    # below the pole, but exp(nu) rounds to 1: the integrand has a pole
+    with pytest.raises(DomainError):
+        z_integral(inst, 0.0, -1e-20, grid=64)
 
 
 def test_scaled_real_round_trip():
