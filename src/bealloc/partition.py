@@ -23,13 +23,8 @@ count constraint sigma, and the Gaussian approximation around it gives
 
 with d2 the second nu-derivative of log zeta. A trapezoid quadrature of the
 exact contour integral over [-pi, pi] provides an independent cross-check
-that converges spectrally in the grid size. Its integrand needs
-1/zeta(beta, nu + i*alpha) = prod_j (1 - r_j*exp(i*alpha))^q_j, with
-r_j = exp(nu - beta*lambda_j) < 1, which is formed as a running product over
-blocks of distinct modes, raising each to its degeneracy by squaring, and
-rescaled by a power of two after every block; so the quadrature takes one
-logarithm per grid point, none per mode, and holds only a block of modes
-times the grid in memory.
+that converges spectrally in the grid size; its integrand is a blocked,
+rescaled product with one logarithm per grid point (see `z_integral`).
 """
 
 from __future__ import annotations
@@ -47,7 +42,7 @@ from .solver import mode_offsets, occupancy_sums, solve_sigma
 DP_MAX_UNITS = 10**4
 DP_MAX_MODES = 10**3
 MIN_GRID = 64
-# Distinct modes per block of the contour product. Each factor
+# Modes per block of the contour product. Each factor
 # 1 - r*exp(i*alpha) has modulus in [1 - r, 2), and 1 - r >= 2^-53 for any
 # double r < 1, so a block's product lies within [2^-848, 2^16] and a
 # rescaled mantissa times it stays a normal float.
@@ -157,39 +152,27 @@ def check_grid(grid: int) -> None:
         raise InputError(f"grid must be >= {MIN_GRID}, got {grid}")
 
 
-def _rescale(mantissa: np.ndarray, exponent: np.ndarray) -> None:
-    """Scale mantissa in place to modulus [0.5, 1), adding the power of two
-    taken out to exponent."""
-    _, power = np.frexp(np.abs(mantissa))
-    mantissa *= np.ldexp(1.0, -power)
-    exponent += power
-
-
 def _contour_product(
-    r: np.ndarray, q: np.ndarray, turn: np.ndarray
+    r: np.ndarray, turn: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """prod_j (1 - r_j*turn)^q_j at every grid point, as mantissa * 2^exponent.
+    """prod_j (1 - r_j*turn) at every grid point, as mantissa * 2^exponent.
 
-    Squares the running product once per bit of the largest q_j, highest
-    bit first, and multiplies in the modes whose q_j has that bit, in blocks
-    of BLOCK_MODES rows. The mantissa is rescaled after every squaring and
-    every block, so no step leaves float range.
+    Multiplies the factors in blocks of BLOCK_MODES rows and rescales the
+    mantissa to modulus [0.5, 1) after every block, so no step leaves float
+    range and only BLOCK_MODES x grid factors are held at once.
     """
     mantissa = np.ones(turn.shape, dtype=complex)
     exponent = np.zeros(turn.shape, dtype=np.int64)
     block = np.empty((BLOCK_MODES, turn.size), dtype=complex)
-    for bit in reversed(range(int(q.max()).bit_length())):
-        mantissa *= mantissa
-        exponent *= 2
-        _rescale(mantissa, exponent)
-        ratios = r[(q >> bit) & 1 == 1]
-        for start in range(0, ratios.size, BLOCK_MODES):
-            chunk = ratios[start : start + BLOCK_MODES]
-            factors = block[: chunk.size]
-            np.multiply.outer(chunk, turn, out=factors)
-            np.subtract(1.0, factors, out=factors)
-            mantissa *= np.multiply.reduce(factors, axis=0)
-            _rescale(mantissa, exponent)
+    for start in range(0, r.size, BLOCK_MODES):
+        chunk = r[start : start + BLOCK_MODES]
+        factors = block[: chunk.size]
+        np.multiply.outer(chunk, turn, out=factors)
+        np.subtract(1.0, factors, out=factors)
+        mantissa *= np.multiply.reduce(factors, axis=0)
+        _, power = np.frexp(np.abs(mantissa))
+        mantissa *= np.ldexp(1.0, -power)
+        exponent += power
     return mantissa, exponent
 
 
@@ -202,10 +185,12 @@ def z_integral(
             exp(-i*N*alpha) * zeta(beta, nu + i*alpha) d(alpha).
 
     The integrand is smooth and periodic, so the uniform-grid sum converges
-    spectrally; grid must be at least 64. With zeta = 1/P and P the
-    blocked, rescaled product of `_contour_product` over r_j = exp(-x_j),
-    the integrand is exp(-log|P| - shift) * (|P|/P) * exp(-i*N*alpha), with
-    shift the largest -log|P|: one logarithm per grid point.
+    spectrally; grid must be at least 64. zeta = 1/P with
+    P = prod_j (1 - r_j*exp(i*alpha))^q_j and r_j = exp(-x_j) < 1, one ratio
+    per mode repeated q_j times. With P the blocked, rescaled product of
+    `_contour_product`, the integrand is
+    exp(-log|P| - shift) * (|P|/P) * exp(-i*N*alpha), with shift the
+    largest -log|P|: one logarithm per grid point, none per mode.
     """
     check_grid(grid)
     modes = mode_offsets(instance, beta)
@@ -215,7 +200,7 @@ def z_integral(
     n = instance.n
     alphas = -math.pi + (2.0 * math.pi / grid) * np.arange(grid)
     mantissa, exponent = _contour_product(
-        r, np.asarray(instance.degeneracies), np.exp(1j * alphas)
+        np.repeat(r, instance.degeneracies), np.exp(1j * alphas)
     )
     modulus = np.abs(mantissa)
     log_zeta = -(np.log(modulus) + math.log(2.0) * exponent)
