@@ -11,13 +11,19 @@ Exit codes: 0 on success; otherwise the code that _EXIT_CODES gives the
 error (3 for any error it does not list).
 """
 
+# Not in the docstring above, which is the --help text: the argument parser
+# is built once per process, and a report is the same bytes as
+# json.dumps(report, sort_keys=True, indent=2).
+
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -75,26 +81,24 @@ def read_prices(path: str) -> list[str]:
     last_index: Optional[int] = None
     for ln_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
+        if "," not in line:  # a bare price; only `index,price` is split
+            if line:
+                out.append(line)
             continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) == 1:
-            out.append(fields[0])
-        elif len(fields) == 2:
-            try:
-                index = int(fields[0])
-            except ValueError as exc:
-                raise InputError(
-                    f"{path}:{ln_no}: bad priority index {fields[0]!r}"
-                ) from exc
-            if last_index is not None and index <= last_index:
-                raise InputError(
-                    f"{path}:{ln_no}: priority indices must ascend"
-                )
-            last_index = index
-            out.append(fields[1])
-        else:
+        head, _, price = line.partition(",")
+        if "," in price:
             raise InputError(f"{path}:{ln_no}: expected `price` or `index,price`")
+        head = head.strip()
+        try:
+            index = int(head)
+        except ValueError as exc:
+            raise InputError(
+                f"{path}:{ln_no}: bad priority index {head!r}"
+            ) from exc
+        if last_index is not None and index <= last_index:
+            raise InputError(f"{path}:{ln_no}: priority indices must ascend")
+        last_index = index
+        out.append(price.strip())
     return out
 
 
@@ -385,11 +389,66 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # argparse formats usage and help when it prints them, so one parser
+    # serves every call; parse_args leaves it unchanged
+    return build_parser()
+
+
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def _dumps(obj: object) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte.
+
+    indent= runs CPython's pure-Python encoder. A flat list of scalars, the
+    bulk of a report, instead goes to the C encoder in one call, with the
+    item separator the pure encoder writes: a comma, a newline and the
+    indent. Dict keys must be strings.
+    """
+    parts: list[str] = []
+    _encode(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _encode(obj: object, newline: str, parts: list[str]) -> None:
+    """Append obj's indented JSON to parts; newline ends obj's first line."""
+    if isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
+            _encode(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, obj)) <= _SCALAR_TYPES:
+            body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
+            parts.append("[" + inner + body + newline + "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            parts.append(sep)
+            _encode(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        parts.append(json.dumps(obj))
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = _COMMANDS[args.command](args)
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = _dumps(report) + "\n"
         if args.out_path is not None:
             try:
                 Path(args.out_path).write_text(text)

@@ -146,10 +146,6 @@ class PriceSchedule:
         """The prices as exact Fractions."""
         return tuple(Fraction(v, self.scale) for v in self.numerators)
 
-    def scaled(self) -> tuple[int, ...]:
-        """Prices as exact integers at the schedule scale."""
-        return self.numerators
-
 
 @dataclass(frozen=True)
 class InvestmentBounds:

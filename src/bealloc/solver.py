@@ -372,7 +372,7 @@ def build_allocation(
     for j in order[:missing]:
         parts[j] += 1
 
-    prices_scaled = instance.schedule.scaled()
+    prices_scaled = instance.schedule.numerators
     spend_scaled = k * lam1_scaled + sum(
         p * w for p, w in zip(parts, lam_scaled)
     )

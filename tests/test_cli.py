@@ -622,3 +622,94 @@ def test_subcommand_flags_and_defaults():
             if not isinstance(a, argparse._HelpAction)
         ]
         assert flags == expected, name
+
+
+def report_of(argv):
+    args = build_parser().parse_args(argv)
+    return cli._COMMANDS[args.command](args)
+
+
+REPORT_ARGV = {
+    "solve": ["solve", "--min-shares", "0", "--max-shares", "10",
+              "--budget", "55.25"],
+    "enumerate": ["enumerate", "--min-shares", "0", "--max-shares", "4",
+                  "--budget", "27.5", "--l", "5", "--samples", "200"],
+    "verify": ["verify"],
+    "verify sampled": ["verify", "--samples", "50", "--seed", "3"],
+    "zcheck": ["zcheck", "--min-shares", "0", "--max-shares", "4",
+               "--beta", "0.5"],
+}
+
+
+@pytest.mark.parametrize("name", REPORT_ARGV)
+def test_dumps_matches_json_dumps_on_reports(tmp_path, name):
+    path = tmp_path / "p.csv"
+    path.write_text("1.25\n0.75\n1\n0.5\n1.5\n1\n0.25\n1\n2\n0.75\n")
+    command, *flags = REPORT_ARGV[name]
+    prices = [] if command == "verify" else ["--prices", str(path)]
+    report = report_of([command, *prices, *flags])
+    assert cli._dumps(report) == json.dumps(report, sort_keys=True, indent=2)
+
+
+ENCODER_CASES = {
+    "empty list": [],
+    "empty dict": {},
+    "empty nested": {"a": [], "b": {}, "c": [[], {}], "d": [{}]},
+    "nested lists": [[1, 2], [3, [4.5, [5]]], [], [[]]],
+    "list of dicts": [{"b": 1, "a": [1.5, "x"]}, {}, {"c": {"d": [None]}}],
+    "mixed scalars": [1, 2.5, "s", True, False, None, 0, ""],
+    "scalars beside containers": [1, [2, 3], "x", {"k": 4}, None],
+    "special floats": [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300,
+                       5e-324, 0.1],
+    "big ints": [2**64, -(2**70) - 1, 10**30, 2**63 - 1],
+    "text": ["é", "日本", " ", "\x00\x1f\n\t\"\\/", "😀", "a,b"],
+    "keys": {"é": 1, "a\nb": [1, 2], "": {"z": -0.0, "y": math.nan}},
+    "flat dict": {"b": math.inf, "a": "x", "c": [True]},
+    "tuples": (1, (2.0, "3"), [()]),
+    "deep": {"a": {"b": {"c": [[1.0], [2.0, {"d": [3]}]]}}},
+    "scalar float": -0.0,
+    "scalar str": "ü\n",
+    "scalar none": None,
+    "scalar nan": math.nan,
+}
+
+
+@pytest.mark.parametrize("obj", ENCODER_CASES.values(), ids=ENCODER_CASES)
+def test_dumps_matches_json_dumps(obj):
+    assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_parser_is_built_once_and_reused(capsys, prices_file, monkeypatch):
+    real = cli.build_parser
+    builds = []
+
+    def counting_build_parser():
+        builds.append(None)
+        return real()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    solve = ["solve", "--prices", prices_file, "--min-shares", "0",
+             "--max-shares", "2", "--budget", "9.4"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(["solve", "--prices", prices_file])
+    assert excinfo.value.code == 4
+    usage = capsys.readouterr()
+    assert main(solve) == 0
+    first = capsys.readouterr()
+    assert len(builds) == 1
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    help_text = capsys.readouterr()
+    assert main(solve) == 0
+    assert capsys.readouterr() == first
+    assert len(builds) == 1
+
+    # the reused parser prints what a freshly built one prints
+    with pytest.raises(SystemExit):
+        real().parse_args(["solve", "--prices", prices_file])
+    assert capsys.readouterr() == usage
+    with pytest.raises(SystemExit):
+        real().parse_args(["--help"])
+    assert capsys.readouterr() == help_text

@@ -209,7 +209,7 @@ def test_each_part_takes_integers_only():
 
 def test_scaled_views_are_exact_ints():
     inst = build_instance(["0.10", "0.25"], 0, 4, "1.00")
-    assert inst.schedule.scaled() == (100_000, 250_000)
+    assert inst.schedule.numerators == (100_000, 250_000)
     assert inst.mode_weights_scaled() == (250_000,)
     assert inst.effective_budget_scaled() == 1_000_000
 
@@ -219,9 +219,8 @@ def test_scaled_views_are_computed_once():
     for _ in range(20):
         inst = random_instance(rng, s_max=20, n_max=20)
         weights = inst.mode_weights_scaled()
-        prices = inst.schedule.scaled()
+        prices = inst.schedule.numerators
         assert inst.mode_weights_scaled() is weights
-        assert inst.schedule.scaled() is prices
         assert weights == tuple(
             int(v * inst.scale) for v in inst.weights.values[1:]
         )

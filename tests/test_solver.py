@@ -218,7 +218,7 @@ def unit_loop_allocation(inst, params):
     order = sorted(range(m), key=lambda j: (parts[j] - occ[j], -j))
     for j in order[:missing]:
         parts[j] += 1
-    prices = inst.schedule.scaled()
+    prices = inst.schedule.numerators
     phi_scaled = int(phi * inst.scale)
     spend = k * int(inst.weights.values[0] * inst.scale) + sum(
         p * w for p, w in zip(parts, inst.mode_weights_scaled())
