@@ -27,6 +27,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import families, oracle, partition, solver
 from .errors import (
     AllocError,
@@ -177,10 +179,18 @@ def _require_finite(flag: str, value: Optional[float]) -> None:
 
 
 def _check_ensemble_flags(args: argparse.Namespace) -> None:
-    """The --epsilon and --cap checks that enumerate and verify share."""
+    """The --epsilon, --cap, --samples and --seed checks that enumerate and
+    verify share; --seed is checked only when --samples uses it."""
     _require_finite("--epsilon", args.epsilon)
     if args.cap < 0:
         raise InputError(f"--cap must be nonnegative, got {args.cap}")
+    if args.samples is not None:
+        if args.samples < 0:
+            raise InputError(
+                f"sample count must be nonnegative, got {args.samples}"
+            )
+        if args.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {args.seed}")
 
 
 def cmd_enumerate(args: argparse.Namespace) -> dict:
@@ -190,9 +200,10 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
         "command": "enumerate",
         "instance": _instance_doc(inst),
         "cap": args.cap,
-        "total_count": str(oracle.count_configurations(inst, args.cap)),
     }
+    total: Optional[int] = None
     if args.l is not None:
+        oracle.check_cap(inst, args.cap)
         _regime_note(inst)
         try:
             params = solver.solve_params(inst)
@@ -202,6 +213,7 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
             stats = oracle.cumulative_stats(
                 inst, params, args.l, args.epsilon, args.cap
             )
+            total = stats.total_count
             report.update(
                 {
                     "l": stats.l,
@@ -211,6 +223,9 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
                     "cumulative_means": [str(f) for f in stats.cumulative_mean],
                 }
             )
+    if total is None:  # no stats walk ran to count |M|
+        total = oracle.count_configurations(inst, args.cap)
+    report["total_count"] = str(total)
     if args.samples is not None:
         result = oracle.sample_uniform(inst, args.samples, args.seed)
         report.update(
@@ -231,20 +246,23 @@ def _sampled_row_stats(
     samples: int,
     seed: int,
 ) -> tuple[float, float]:
-    """Estimate deviation fraction and shell weight from uniform draws."""
-    result = oracle.sample_uniform(inst, samples, seed)
+    """Estimate deviation fraction and shell weight from uniform draws.
+
+    Works on the draw matrix: S_l is a row sum, and a draw is in the shell
+    when its exact scaled energy is at most floor(threshold * scale). The
+    shell terms exp(-beta * energy) are added one by one in draw order.
+    """
+    parts = oracle.sample_uniform(inst, samples, seed).parts
     center = solver.predicted_cumulative(inst, params, l)
+    s_l = parts[:, : l - 1].sum(axis=1)
+    deviations = int(np.count_nonzero(np.abs(s_l - center) >= delta))
     offset = float(inst.n) ** (0.5 + _SHELL_EPSILON)
     threshold = inst.effective_budget - Fraction(offset)
-    deviations = 0
+    energies = oracle.scaled_energies(inst, parts)
+    in_shell = energies <= math.floor(threshold * inst.scale)
     shell = 0.0
-    for comp in result.compositions:
-        s_l = sum(comp.parts[: l - 1])
-        if abs(s_l - center) >= delta:
-            deviations += 1
-        energy = comp.energy(inst)
-        if energy <= threshold:
-            shell += math.exp(-params.beta * float(energy))
+    for energy in energies[in_shell].tolist():
+        shell += math.exp(-params.beta * (energy / inst.scale))
     return deviations / samples, shell / samples
 
 
@@ -317,11 +335,17 @@ def cmd_zcheck(args: argparse.Namespace) -> dict:
         else solver.solve_params(inst).beta
     )
 
+    # One recurrence serves the three rows: the 4n profile starts with the
+    # n and 2n ones. A row past the caps is still rejected by z_exact.
+    try:
+        profile = partition.z_profile(inst, beta, 4 * inst.n)
+    except CapExceeded:  # too many modes: z_exact rejects the first row
+        profile = None
     rows = []
     ratios: list[float] = []
     for n in (inst.n, 2 * inst.n, 4 * inst.n):
         inst_n = families.with_total(inst, n)
-        est = partition.z_saddle(inst_n, beta)
+        est = partition.z_saddle(inst_n, beta, profile)
         zq = partition.z_integral(inst_n, beta, est.nu_star, args.grid)
         rows.append(
             {

@@ -80,13 +80,35 @@ class EnsembleStats:
     l: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleResult:
-    """Uniform draws from M with the achieved acceptance rate."""
+    """Uniform draws from M with the achieved acceptance rate.
 
-    compositions: tuple[Composition, ...]
+    parts holds the draws as a read-only (count, m) int64 matrix, one row
+    per draw in the order drawn; compositions builds Composition objects
+    from it on demand. Two results are equal when their draws, rate and
+    seed are.
+    """
+
+    parts: np.ndarray
     acceptance_rate: float
     seed: int
+
+    @property
+    def compositions(self) -> tuple[Composition, ...]:
+        return tuple(Composition(tuple(row)) for row in self.parts.tolist())
+
+    def _key(self) -> tuple:
+        return (self.parts.shape, self.parts.tobytes(), self.acceptance_rate,
+                self.seed)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SampleResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def unconstrained_count(instance: ProblemInstance) -> int:
@@ -95,7 +117,7 @@ def unconstrained_count(instance: ProblemInstance) -> int:
     return math.comb(instance.n + m - 1, m - 1)
 
 
-def _cap_guard(instance: ProblemInstance, cap: int) -> None:
+def check_cap(instance: ProblemInstance, cap: int) -> None:
     bound = unconstrained_count(instance)
     if bound > cap:
         raise CapExceeded(
@@ -107,7 +129,7 @@ def iter_compositions(
     instance: ProblemInstance, cap: int = DEFAULT_CAP
 ) -> Iterator[Composition]:
     """Yield every member of M in lexicographic order of its parts."""
-    _cap_guard(instance, cap)
+    check_cap(instance, cap)
     lams = instance._expanded_modes
     budget = instance.effective_budget_scaled()
     n = instance.n
@@ -204,7 +226,7 @@ def count_configurations(
     instance: ProblemInstance, cap: int = DEFAULT_CAP
 ) -> int:
     """|M|, computed independently of the visitor walk."""
-    _cap_guard(instance, cap)
+    check_cap(instance, cap)
     return _count(
         instance._expanded_modes, instance.n, instance.effective_budget_scaled()
     )
@@ -239,7 +261,7 @@ def cumulative_stats(
     if l < 2 or l > s:
         raise IndexRange(f"l = {l} outside 2..{s}")
     delta = deviation_band(instance.n, epsilon)
-    _cap_guard(instance, cap)
+    check_cap(instance, cap)
     lams = instance._expanded_modes
     lead = sum(instance.degeneracies[: l - 1])  # slots that count into S_l
 
@@ -315,7 +337,7 @@ def low_energy_shell_weight(
     beta = 0 the weight is the exact count ratio; a weight beyond float
     range raises DomainError.
     """
-    _cap_guard(instance, cap)
+    check_cap(instance, cap)
     lams = instance._expanded_modes
     budget = instance.effective_budget_scaled()
     total = _count(lams, instance.n, budget)
@@ -358,6 +380,16 @@ def low_energy_shell_weight(
         ) from None
 
 
+def scaled_energies(instance: ProblemInstance, parts: np.ndarray) -> np.ndarray:
+    """Exact scaled energy of each row of parts, a matrix of compositions of
+    instance.n over its modes: int64 while max(n, 1) * max(lambda) fits in
+    2^62, else an object array of Python ints."""
+    lams = instance._expanded_modes
+    if max(instance.n, 1) * max(lams) > 2**62:
+        return parts.astype(object) @ np.array(lams, dtype=object)
+    return parts @ np.array(lams, dtype=np.int64)
+
+
 def sample_uniform(
     instance: ProblemInstance, count: int, seed: int = 0
 ) -> SampleResult:
@@ -365,27 +397,23 @@ def sample_uniform(
 
     Proposals are uniform compositions drawn by the stars-and-bars bijection
     (a uniform (m-1)-subset of n+m-1 slot positions); a proposal is accepted
-    iff its exact scaled energy fits the budget. Raises LowAcceptance when
-    fewer than 1 in 10^4 proposals survive a 10^5-trial pilot.
+    iff its exact scaled energy fits the budget. The first count accepted
+    draws are returned as the rows of SampleResult.parts; the last chunk's
+    accepted draws past count still enter the acceptance rate. Raises
+    LowAcceptance when fewer than 1 in 10^4 proposals survive a 10^5-trial
+    pilot.
     """
     if count < 0:
         raise InputError(f"sample count must be nonnegative, got {count}")
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
-    if count == 0:
-        return SampleResult((), 1.0, seed)
-
-    lams = instance._expanded_modes
-    m = len(lams)
+    m = len(instance._expanded_modes)
     n = instance.n
+    kept = [np.zeros((0, m), dtype=np.int64)]
+    accepted = drawn = 0
     budget = instance.effective_budget_scaled()
     rng = np.random.default_rng(seed)
-    lam_vec = np.array(lams, dtype=np.int64)
-    exact_fallback = n * max(lams) > 2**62
-
-    accepted: list[tuple[int, ...]] = []
-    drawn = 0
-    while len(accepted) < count:
+    while accepted < count:
         if n == 0:
             parts_mat = np.zeros((_CHUNK, m), dtype=np.int64)
         elif m == 1:
@@ -400,25 +428,17 @@ def sample_uniform(
             middle = bars[:, 1:] - bars[:, :-1] - 1
             last = (slots - 1) - bars[:, -1:]
             parts_mat = np.concatenate([first, middle, last], axis=1)
-        if exact_fallback:
-            ok = np.array(
-                [
-                    sum(int(p) * w for p, w in zip(row, lams)) <= budget
-                    for row in parts_mat
-                ]
-            )
-        else:
-            ok = parts_mat @ lam_vec <= budget
+        ok = parts_mat[scaled_energies(instance, parts_mat) <= budget]
+        kept.append(ok[: count - accepted])
+        accepted += len(ok)
         drawn += _CHUNK
-        for row in parts_mat[ok]:
-            accepted.append(tuple(int(x) for x in row))
-        if drawn >= _PILOT_TRIALS and len(accepted) < count:
-            if len(accepted) / drawn < _PILOT_RATE:
+        if drawn >= _PILOT_TRIALS and accepted < count:
+            if accepted / drawn < _PILOT_RATE:
                 raise LowAcceptance(
-                    f"acceptance rate {len(accepted) / drawn:.2e} below "
+                    f"acceptance rate {accepted / drawn:.2e} below "
                     f"{_PILOT_RATE} after {drawn} trials"
                 )
 
-    rate = len(accepted) / drawn
-    comps = tuple(Composition(p) for p in accepted[:count])
-    return SampleResult(comps, rate, seed)
+    parts = np.concatenate(kept)
+    parts.flags.writeable = False
+    return SampleResult(parts, accepted / drawn if drawn else 1.0, seed)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -88,25 +88,55 @@ class PartitionEstimate:
     nu_star: float
 
 
-def z_exact(instance: ProblemInstance, beta: float) -> ScaledReal:
-    """Exact restricted partition sum over all compositions of n units."""
-    n = instance.n
-    m = sum(instance.degeneracies)
+def _check_caps(n: int, m: int) -> None:
     if n > DP_MAX_UNITS or m > DP_MAX_MODES:
         raise CapExceeded(
             f"partition recurrence capped at {DP_MAX_UNITS} units / "
             f"{DP_MAX_MODES} modes, got {n} / {m}"
         )
+
+
+def z_profile(
+    instance: ProblemInstance, beta: float, n_max: int
+) -> np.ndarray:
+    """log z(k) for k = 0..min(n_max, DP_MAX_UNITS), pole weight factored out.
+
+    The recurrence runs over the units in order and each cumulative
+    log-add-exp is sequential, so entry k depends only on the modes, beta
+    and k: a longer profile starts with every shorter one, bit for bit.
+    Only instance's modes and degeneracies matter, not its n. Raises
+    CapExceeded past DP_MAX_MODES modes.
+    """
+    units = min(n_max, DP_MAX_UNITS)
+    _check_caps(units, sum(instance.degeneracies))
     modes = mode_offsets(instance, beta)
-    k = np.arange(n + 1, dtype=float)
-    log_z = np.full(n + 1, -np.inf)
+    k = np.arange(units + 1, dtype=float)
+    log_z = np.full(k.size, -np.inf)
     log_z[0] = 0.0
     # log r = -beta*d <= 0 per mode; the pole energy beta*lambda_p*n is
-    # added once at the end, so the prefix sums carry only the offsets
+    # added by z_exact, so the prefix sums carry only the offsets
     for log_r in np.repeat(-beta * modes.d, instance.degeneracies):
         tilt = k * log_r
         log_z = tilt + np.logaddexp.accumulate(log_z - tilt)
-    return ScaledReal.from_log(log_z[n] - beta * float(modes.pole) * n)
+    return log_z
+
+
+def z_exact(
+    instance: ProblemInstance,
+    beta: float,
+    profile: Optional[np.ndarray] = None,
+) -> ScaledReal:
+    """Exact restricted partition sum over all compositions of n units.
+
+    profile, if given, is a `z_profile` of the same modes at the same beta
+    that reaches n; its entry n is read instead of rerunning the recurrence.
+    """
+    n = instance.n
+    _check_caps(n, sum(instance.degeneracies))
+    if profile is None:
+        profile = z_profile(instance, beta, n)
+    pole = mode_offsets(instance, beta).pole
+    return ScaledReal.from_log(profile[n] - beta * float(pole) * n)
 
 
 def grand_partition(
@@ -130,14 +160,19 @@ def saddle_nu(instance: ProblemInstance, beta: float) -> float:
     return solve_sigma(instance, beta)
 
 
-def z_saddle(instance: ProblemInstance, beta: float) -> PartitionEstimate:
-    """Gaussian saddle-point estimate next to the exact recurrence value."""
+def z_saddle(
+    instance: ProblemInstance,
+    beta: float,
+    profile: Optional[np.ndarray] = None,
+) -> PartitionEstimate:
+    """Gaussian saddle-point estimate next to the exact recurrence value;
+    profile is passed on to `z_exact`."""
     nu = saddle_nu(instance, beta)
     gp = grand_partition(instance, beta, nu)
     log_zs = -nu * instance.n + gp.log_value - 0.5 * math.log(
         2.0 * math.pi * gp.d2log_dnu2
     )
-    zx = z_exact(instance, beta)
+    zx = z_exact(instance, beta, profile)
     return PartitionEstimate(
         z_exact=zx,
         z_saddle=ScaledReal.from_log(log_zs),

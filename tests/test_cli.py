@@ -488,6 +488,47 @@ def test_negative_seed(capsys, prices_file, command):
         assert code == 0
 
 
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--samples", "-1"], "sample count must be nonnegative, got -1"),
+     (["--samples", "3", "--seed", "-1"], "seed must be nonnegative, got -1"),
+     (["--samples", "-1", "--seed", "-1"],
+      "sample count must be nonnegative, got -1")],
+)
+def test_bad_sampling_flags_are_rejected_before_any_work(
+    capsys, prices_file, monkeypatch, command, flags, message
+):
+    def fail(*_args, **_kwargs):
+        pytest.fail("work done before the sampling flag check")
+
+    monkeypatch.setattr(oracle, "count_configurations", fail)
+    monkeypatch.setattr(oracle, "cumulative_stats", fail)
+    monkeypatch.setattr(oracle, "sample_uniform", fail)
+    monkeypatch.setattr(solver, "solve_params", fail)
+    instance = [] if command == "verify" else [
+        "--prices", prices_file, "--min-shares", "0", "--max-shares", "2",
+        "--budget", "9", "--l", "2",
+    ]
+    code, out, err = run(capsys, [command, *instance, *flags])
+    assert (code, out, err) == (4, "", f"error: {message}\n")
+
+
+def test_enumerate_takes_the_count_from_the_stats_walk(
+    capsys, prices_file, monkeypatch
+):
+    def fail(*_args, **_kwargs):
+        pytest.fail("a second count walk ran")
+
+    argv = ["enumerate", "--prices", prices_file, "--min-shares", "0",
+            "--max-shares", "2", "--budget", "9"]
+    _, plain, _ = run(capsys, argv)
+    monkeypatch.setattr(oracle, "count_configurations", fail)
+    code, out, _ = run(capsys, [*argv, "--l", "2"])
+    assert code == 0
+    assert json.loads(out)["total_count"] == json.loads(plain)["total_count"]
+
+
 @pytest.mark.parametrize("fit", [["--budget", "12"], ["--beta", "1"]])
 def test_zcheck_without_increments(capsys, prices_file, fit):
     code, out, err = run(
@@ -641,14 +682,33 @@ REPORT_ARGV = {
 }
 
 
-@pytest.mark.parametrize("name", REPORT_ARGV)
-def test_dumps_matches_json_dumps_on_reports(tmp_path, name):
+def report_argv(tmp_path, name):
     path = tmp_path / "p.csv"
     path.write_text("1.25\n0.75\n1\n0.5\n1.5\n1\n0.25\n1\n2\n0.75\n")
     command, *flags = REPORT_ARGV[name]
     prices = [] if command == "verify" else ["--prices", str(path)]
-    report = report_of([command, *prices, *flags])
+    return [command, *prices, *flags]
+
+
+@pytest.mark.parametrize("name", REPORT_ARGV)
+def test_dumps_matches_json_dumps_on_reports(tmp_path, name):
+    report = report_of(report_argv(tmp_path, name))
     assert cli._dumps(report) == json.dumps(report, sort_keys=True, indent=2)
+
+
+# The stdout of each REPORT_ARGV case, recorded before the sampler kept its
+# draws as one int64 matrix and zcheck shared one z_exact profile. Rewrites
+# of those paths must not move a count, a digit or a float's last bit.
+REPORT_BYTES = json.loads(
+    (Path(__file__).parent / "data" / "report_bytes.json").read_text()
+)
+
+
+@pytest.mark.parametrize("name", REPORT_ARGV)
+def test_report_bytes_match_the_pinned_fixture(capsys, tmp_path, name):
+    code, out, err = run(capsys, report_argv(tmp_path, name))
+    assert (code, err) == (0, "")
+    assert out == REPORT_BYTES[name]
 
 
 ENCODER_CASES = {

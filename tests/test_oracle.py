@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bealloc import (
@@ -371,3 +372,96 @@ def test_sampling_zero_count():
 def test_sampling_rejects_negative_seed():
     with pytest.raises(InputError, match="seed must be nonnegative, got -1"):
         sample_uniform(build_example("9"), 10, seed=-1)
+
+
+def reference_sample(instance, count, seed):
+    """The row-by-row sampler the matrix version replaced: Python-int rows
+    converted one element at a time, every accepted row kept."""
+    if count == 0:
+        return (), 1.0
+    lams = instance._expanded_modes
+    m, n = len(lams), instance.n
+    budget = instance.effective_budget_scaled()
+    rng = np.random.default_rng(seed)
+    exact_fallback = n * max(lams) > 2**62
+    accepted, drawn = [], 0
+    while len(accepted) < count:
+        if n == 0:
+            parts_mat = np.zeros((20_000, m), dtype=np.int64)
+        elif m == 1:
+            parts_mat = np.full((20_000, 1), n, dtype=np.int64)
+        else:
+            slots = n + m - 1
+            u = rng.random((20_000, slots))
+            bars = np.sort(
+                np.argpartition(u, m - 2, axis=1)[:, : m - 1], axis=1
+            )
+            parts_mat = np.concatenate(
+                [bars[:, :1], bars[:, 1:] - bars[:, :-1] - 1,
+                 (slots - 1) - bars[:, -1:]], axis=1)
+        if exact_fallback:
+            ok = np.array([sum(int(p) * w for p, w in zip(row, lams))
+                           <= budget for row in parts_mat])
+        else:
+            ok = parts_mat @ np.array(lams, dtype=np.int64) <= budget
+        drawn += 20_000
+        for row in parts_mat[ok]:
+            accepted.append(tuple(int(x) for x in row))
+    comps = tuple(Composition(p) for p in accepted[:count])
+    return comps, len(accepted) / drawn
+
+
+SAMPLER_CASES = {
+    "random": (lambda: random_instance(random.Random(21), 12, 12), 700),
+    "two chunks": (lambda: build_example("10"), 25_000),
+    "n = 0": (lambda: build_instance(["1", "2", "3"], 2, 2, "12"), 40),
+    "m = 1": (lambda: build_instance(["1", "2"], 0, 3, "7.5"), 40),
+    # n * max(lambda) = 3 * 5e18 > 2^62: energies in Python ints
+    "exact fallback": (
+        lambda: build_instance(["3000000000000", "3000000000000",
+                                "2000000000000"], 0, 3, "10000000000000"),
+        300,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SAMPLER_CASES)
+def test_sampler_matches_the_row_loop(case):
+    make, count = SAMPLER_CASES[case]
+    inst = make()
+    m = len(inst._expanded_modes)
+    if case == "exact fallback":
+        assert inst.n * max(inst._expanded_modes) > 2**62
+    for seed in (0, 1, 7, 12345):
+        result = sample_uniform(inst, count, seed)
+        comps, rate = reference_sample(inst, count, seed)
+        assert result.acceptance_rate == rate
+        assert result.compositions == comps
+        assert result.parts.dtype == np.int64
+        assert result.parts.shape == (count, m)
+        assert not result.parts.flags.writeable
+        with pytest.raises(ValueError):
+            result.parts[0, 0] = 1
+
+
+def test_sample_result_equality_and_hash():
+    inst = build_example("9")
+    a = sample_uniform(inst, 50, seed=3)
+    b = sample_uniform(inst, 50, seed=3)
+    c = sample_uniform(inst, 50, seed=4)
+    assert a == b and hash(a) == hash(b)
+    assert a != c
+    assert len({a, b, c}) == 2
+    empty = sample_uniform(inst, 0, seed=3)
+    assert empty.parts.shape == (0, 2) and empty.compositions == ()
+    assert empty != sample_uniform(inst, 0, seed=4)
+
+
+@pytest.mark.parametrize("k, m, budget", [(2, 2, "100000000000000"),
+                                          (0, 1, "50000000000000")])
+def test_sampling_with_weights_past_int64(k, m, budget):
+    # lambda_2 = 2e19 > 2^63 scaled units: energies stay exact Python ints
+    inst = build_instance(["30000000000000", "20000000000000"], k, m, budget)
+    result = sample_uniform(inst, 5, seed=0)
+    assert result.parts.tolist() == [[inst.n]] * 5
+    assert result.acceptance_rate == 1.0

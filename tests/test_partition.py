@@ -24,7 +24,7 @@ from bealloc import (
     z_integral,
     z_saddle,
 )
-from bealloc.partition import DP_MAX_MODES, DP_MAX_UNITS
+from bealloc.partition import DP_MAX_MODES, DP_MAX_UNITS, z_profile
 from bealloc.solver import mode_offsets
 from conftest import decimal_string, random_instance
 
@@ -60,6 +60,32 @@ def test_with_total_keeps_degeneracies():
     assert copy.degeneracies == (2, 1)
     for beta in (-0.4, 0.0, 0.3):
         assert z_exact(copy, beta) == z_exact(direct, beta)
+
+
+@pytest.mark.parametrize("beta", [-0.4, 0.0, 0.3])
+@pytest.mark.parametrize("degeneracies", [None, [2, 1, 3]])
+def test_z_profile_prefix_is_bit_identical(beta, degeneracies):
+    # zcheck reads rows n and 2n from the 4n profile: every entry must be
+    # the one a shorter run gives, exactly
+    inst = build_instance(["1.25", "0.5", "2", "0.75"], 0, 7, "30",
+                          degeneracies=degeneracies)
+    n = inst.n
+    long = z_profile(inst, beta, 4 * n)
+    assert long.shape == (4 * n + 1,)
+    for k in (0, 1, n, 2 * n):
+        assert np.array_equal(long[: k + 1], z_profile(inst, beta, k))
+    for k in (n, 2 * n, 4 * n):
+        inst_k = with_total(inst, k)
+        assert z_exact(inst_k, beta, long) == z_exact(inst_k, beta)
+
+
+def test_z_profile_stops_at_the_unit_cap():
+    inst = build_example()
+    assert z_profile(inst, 0.2, DP_MAX_UNITS + 5).shape == (DP_MAX_UNITS + 1,)
+    many = from_fractions([Fraction(1)] * (DP_MAX_MODES + 2), 0, 2,
+                          Fraction(DP_MAX_MODES + 2))
+    with pytest.raises(CapExceeded, match="capped"):
+        z_profile(many, 0.2, 2)
 
 
 def test_z_exact_beta_zero_counts_compositions():
