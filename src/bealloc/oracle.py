@@ -13,6 +13,8 @@ the count |M| (stars-and-bars binomials), the ensemble statistics (|M|, the
 S_l histogram and per-mode totals, all exact integers) and the shell weight,
 a sum of exp(-beta * energy) that is a product over modes, so it joins like
 the count; it is summed in log space, and is the count ratio at beta = 0.
+`enumerate --l` takes |M| from the statistics walk and runs no separate
+count walk.
 
 Modes with degeneracy q > 1 are expanded into q identical columns, matching
 the partition-function convention.
@@ -207,7 +209,11 @@ def _walk(
         result = memo[key] = join(i, kids)
         return result
 
-    return rec(0, n, budget)
+    total = rec(0, n, budget)
+    # rec's closure holds rec itself, so without this the memo would live
+    # on until the next cyclic garbage collection
+    memo.clear()
+    return total
 
 
 def _count(lams: tuple[int, ...], n: int, budget: int) -> int:

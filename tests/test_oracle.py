@@ -1,7 +1,9 @@
 """Exact enumeration, ensemble statistics, shell weights, uniform sampling."""
 
+import gc
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -465,3 +467,20 @@ def test_sampling_with_weights_past_int64(k, m, budget):
     result = sample_uniform(inst, 5, seed=0)
     assert result.parts.tolist() == [[inst.n]] * 5
     assert result.acceptance_rate == 1.0
+
+
+def test_walks_free_their_memo_without_a_gc_pass():
+    # the memoized walk's recursion is a reference cycle; its memo must not
+    # wait for the cyclic collector to be freed
+    inst = unit_price_family(15, "mean")
+    params = solve_params(inst)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        count_configurations(inst)
+        cumulative_stats(inst, params, 8)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert retained < 200_000
