@@ -120,6 +120,7 @@ def unconstrained_count(instance: ProblemInstance) -> int:
 
 
 def check_cap(instance: ProblemInstance, cap: int) -> None:
+    """Raise CapExceeded when the budget-free count exceeds cap."""
     bound = unconstrained_count(instance)
     if bound > cap:
         raise CapExceeded(
