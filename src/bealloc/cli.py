@@ -334,6 +334,13 @@ def cmd_zcheck(args: argparse.Namespace) -> dict:
         if args.beta_override is not None
         else solver.solve_params(inst).beta
     )
+    # past float range every mode's Boltzmann exponent is inf or nan, and
+    # the recurrence would only end in a misleading pole error
+    lam2 = float(inst.mode_weights[0])
+    if not math.isfinite(beta * lam2):
+        raise InputError(
+            f"--beta {beta} overflows beta * lambda_2 (lambda_2 = {lam2})"
+        )
 
     # One recurrence serves the three rows: the 4n profile starts with the
     # n and 2n ones. A row past the caps is still rejected by z_exact.

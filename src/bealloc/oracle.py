@@ -16,6 +16,17 @@ the count; it is summed in log space, and is the count ratio at beta = 0.
 `enumerate --l` takes |M| from the statistics walk and runs no separate
 count walk.
 
+The statistics walk packs a suffix's S_l histogram and its per-mode totals
+into one int each, a polynomial evaluated at 2^w (Kronecker substitution):
+hist = sum of c_a * 2^(w*a), where c_a counts the suffix's completions
+whose S_l share is a, and totals = sum of T_t * 2^(w*t), where T_t sums
+the units on the suffix's mode t over them. Every digit is a nonnegative
+integer no larger than max(n, 1) * |compositions ignoring the budget|, and
+w is one bit wider than that bound, so adding packed values adds the
+digits and shifting by w*v moves a histogram up by v units, and no digit
+ever carries into the next. A join is then a few big-int additions and
+shifts per kid, and the digits are read out once, after the walk.
+
 Modes with degeneracy q > 1 are expanded into q identical columns, matching
 the partition-function convention.
 """
@@ -23,7 +34,6 @@ the partition-function convention.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -210,11 +220,13 @@ def _walk(
         result = memo[key] = join(i, kids)
         return result
 
-    total = rec(0, n, budget)
-    # rec's closure holds rec itself, so without this the memo would live
-    # on until the next cyclic garbage collection
-    memo.clear()
-    return total
+    try:
+        return rec(0, n, budget)
+    finally:
+        # rec's closure holds rec itself; breaking that cycle frees the memo
+        # and whatever fits and join hold now, not at the next cyclic
+        # garbage collection
+        rec = None  # type: ignore[assignment]
 
 
 def _count(lams: tuple[int, ...], n: int, budget: int) -> int:
@@ -252,6 +264,12 @@ def deviation_band(n: int, epsilon: float = 0.0) -> float:
         ) from exc
 
 
+def _unpack(packed: int, w: int, size: int) -> list[int]:
+    """The size lowest base-2^w digits of packed, least significant first."""
+    mask = (1 << w) - 1
+    return [(packed >> w * k) & mask for k in range(size)]
+
+
 def cumulative_stats(
     instance: ProblemInstance,
     params: ThermoParams,
@@ -263,6 +281,13 @@ def cumulative_stats(
 
     deviation_fraction is the fraction of M at distance >= delta from the
     occupancy prediction, with band delta = n^(3/4 + epsilon).
+
+    The walk carries (count, hist, totals) per suffix, hist and totals
+    packed in base 2^w: digit a of hist counts the completions with S_l
+    share a, digit t of totals sums the units on the suffix's mode t. No
+    digit exceeds max(n, 1) * unconstrained_count(instance) < 2^(w - 1),
+    and all are nonnegative, so no sum of packed values ever carries
+    between digits, whatever cap admits.
     """
     s = instance.size
     if l < 2 or l > s:
@@ -272,53 +297,58 @@ def cumulative_stats(
     lams = instance._expanded_modes
     lead = sum(instance.degeneracies[: l - 1])  # slots that count into S_l
 
-    # One walk aggregates |M|, the S_l histogram and per-mode totals. Those
-    # of a suffix are relative to it, so the memo reuses them at any prefix.
-    def fits(i: int, units: int) -> tuple[int, dict[int, int], list[int]]:
+    # One walk aggregates |M|, the S_l histogram and the per-mode totals.
+    # Those of a suffix are relative to it, so the memo reuses them at any
+    # prefix.
+    n = instance.n
+    w = (max(n, 1) * unconstrained_count(instance)).bit_length() + 1
+
+    def fits(i: int, units: int) -> tuple[int, int, int]:
         m = len(lams) - i
         count = math.comb(units + m - 1, m - 1)
         per_mode = math.comb(units + m - 1, m)  # sum of one part over all
+        totals = per_mode * (((1 << w * m) - 1) // ((1 << w) - 1))
         if i >= lead:
-            hist = {0: count}
+            hist = count
         else:
             nl = lead - i
             nt = m - nl
             if nt == 0:
-                hist = {units: count}
+                hist = count << w * units
             else:
-                hist = {
-                    a: math.comb(a + nl - 1, nl - 1)
-                    * math.comb(units - a + nt - 1, nt - 1)
-                    for a in range(units + 1)
-                }
-        return count, hist, [per_mode] * m
+                hist = 0
+                for a in range(units + 1):
+                    hist += (
+                        math.comb(a + nl - 1, nl - 1)
+                        * math.comb(units - a + nt - 1, nt - 1)
+                    ) << w * a
+        return count, hist, totals
 
     def join(
-        i: int, kids: list[tuple[int, dict[int, int], list[int]]]
-    ) -> tuple[int, dict[int, int], list[int]]:
-        count = 0
-        hist: dict[int, int] = defaultdict(int)
-        totals = [0] * (len(lams) - i)
-        for v, (c2, h2, t2) in enumerate(kids):
-            count += c2
-            offset = v if i < lead else 0
-            for a, c in h2.items():
-                hist[a + offset] += c
-            totals[0] += v * c2
-            for t, val in enumerate(t2):
-                totals[1 + t] += val
-        return count, dict(hist), totals
+        i: int, kids: list[tuple[int, int, int]]
+    ) -> tuple[int, int, int]:
+        count = hist = first = rest = 0
+        step = w if i < lead else 0  # from lead on, S_l gains nothing
+        for v, (c, h, t) in enumerate(kids):
+            count += c
+            hist += h << step * v
+            first += v * c
+            rest += t
+        return count, hist, first + (rest << w)
 
     budget = instance.effective_budget_scaled()
-    total, hist, totals = _walk(lams, instance.n, budget, fits, join)
+    total, hist, totals = _walk(lams, n, budget, fits, join)
     if total == 0:
         raise DegenerateBoundary("configuration set is empty")
 
     center = predicted_cumulative(instance, params, l)
-    bad = sum(c for a, c in hist.items() if abs(a - center) >= delta)
+    bad = sum(
+        c for a, c in enumerate(_unpack(hist, w, n + 1))
+        if abs(a - center) >= delta
+    )
 
     # prefix-sum the expanded-slot totals, read at each enterprise's last slot
-    cumulative = list(accumulate(totals))
+    cumulative = list(accumulate(_unpack(totals, w, len(lams))))
     ends = accumulate(instance.degeneracies)
     means = tuple(Fraction(cumulative[e - 1], total) for e in ends)
 

@@ -541,6 +541,37 @@ def test_zcheck_without_increments(capsys, prices_file, fit):
     )
 
 
+@pytest.mark.parametrize("beta", ["1e308", "-1e308"])
+def test_zcheck_beta_past_float_range_is_an_input_error(
+    capsys, prices_file, monkeypatch, beta
+):
+    # beta * lambda_2 = +-5e308 is no float: rejected before any recurrence
+    def fail(*_args, **_kwargs):
+        pytest.fail("recurrence run for an overflowing beta")
+
+    monkeypatch.setattr(partition, "z_profile", fail)
+    code, out, err = run(
+        capsys,
+        ["zcheck", "--prices", prices_file, "--min-shares", "0",
+         "--max-shares", "2", f"--beta={beta}"],
+    )
+    assert (code, out, err) == (
+        4, "",
+        f"error: --beta {float(beta)} overflows beta * lambda_2 "
+        "(lambda_2 = 5.0)\n",
+    )
+
+
+def test_zcheck_extreme_finite_beta_keeps_its_pole_error(capsys, prices_file):
+    code, out, err = run(
+        capsys,
+        ["zcheck", "--prices", prices_file, "--min-shares", "0",
+         "--max-shares", "2", "--beta", "1e306"],
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: sigma (nu) = ") and err.count("\n") == 1
+
+
 class UnlistedError(AllocError):
     """An error the exit-code table does not name."""
 

@@ -1,10 +1,14 @@
 """Exact enumeration, ensemble statistics, shell weights, uniform sampling."""
 
 import gc
+import json
 import math
 import random
 import tracemalloc
+from collections import defaultdict
 from fractions import Fraction
+from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,14 @@ from bealloc import (
     unconstrained_count,
     unit_price_family,
 )
+from bealloc.oracle import (
+    DEFAULT_CAP,
+    EnsembleStats,
+    _walk,
+    check_cap,
+    deviation_band,
+)
+from bealloc.solver import predicted_cumulative
 from conftest import decimal_string, random_instance
 
 LN2 = math.log(2.0)
@@ -162,6 +174,119 @@ def test_cumulative_stats_against_direct_walk():
             )
             assert stats.cumulative_mean[idx] == mean
         assert stats.cumulative_mean[-1] == inst.n
+
+
+def reference_stats(instance, params, l, epsilon=0.0, cap=DEFAULT_CAP):
+    """cumulative_stats with the dict S_l histogram and per-mode total lists
+    that the packed aggregate replaced, on the same memoized walk."""
+    delta = deviation_band(instance.n, epsilon)
+    check_cap(instance, cap)
+    lams = instance._expanded_modes
+    lead = sum(instance.degeneracies[: l - 1])
+
+    def fits(i, units):
+        m = len(lams) - i
+        count = math.comb(units + m - 1, m - 1)
+        per_mode = math.comb(units + m - 1, m)
+        if i >= lead:
+            hist = {0: count}
+        else:
+            nl = lead - i
+            nt = m - nl
+            if nt == 0:
+                hist = {units: count}
+            else:
+                hist = {
+                    a: math.comb(a + nl - 1, nl - 1)
+                    * math.comb(units - a + nt - 1, nt - 1)
+                    for a in range(units + 1)
+                }
+        return count, hist, [per_mode] * m
+
+    def join(i, kids):
+        count = 0
+        hist = defaultdict(int)
+        totals = [0] * (len(lams) - i)
+        for v, (c2, h2, t2) in enumerate(kids):
+            count += c2
+            offset = v if i < lead else 0
+            for a, c in h2.items():
+                hist[a + offset] += c
+            totals[0] += v * c2
+            for t, val in enumerate(t2):
+                totals[1 + t] += val
+        return count, dict(hist), totals
+
+    budget = instance.effective_budget_scaled()
+    total, hist, totals = _walk(lams, instance.n, budget, fits, join)
+    if total == 0:
+        raise DegenerateBoundary("configuration set is empty")
+    center = predicted_cumulative(instance, params, l)
+    bad = sum(c for a, c in hist.items() if abs(a - center) >= delta)
+    cumulative = list(accumulate(totals))
+    ends = accumulate(instance.degeneracies)
+    means = tuple(Fraction(cumulative[e - 1], total) for e in ends)
+    return EnsembleStats(total, means, bad / total, delta, l)
+
+
+def with_degeneracies(rng, base):
+    q = [rng.randint(1, 3) for _ in base.mode_weights]
+    return build_instance(
+        [decimal_string(p) for p in base.schedule.prices],
+        base.bounds.min_shares,
+        base.bounds.max_shares,
+        decimal_string(base.bounds.budget),
+        degeneracies=q,
+    )
+
+
+def golden_crosscheck():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+    return [
+        (build_instance(e["prices"], 0, e["n"], e["budget"]), e["l"])
+        for e in json.loads(path.read_text())["crosscheck"]
+    ]
+
+
+def wide_digit_instance():
+    # comb(69, 29) > 2^64 compositions ignoring the budget: the packed
+    # digits are 71 bits wide, past any machine word
+    return build_instance(["1"] * 31, 0, 40, "1160")
+
+
+def test_stats_match_the_dict_aggregate_on_random_instances():
+    rng = random.Random(71)
+    for trial in range(60):
+        inst = random_instance(rng, s_max=8, n_max=8)
+        if trial % 2:
+            inst = with_degeneracies(rng, inst)
+        params = solve_params(inst)
+        for l in {2, rng.randint(2, inst.size), inst.size}:
+            eps = rng.choice([-0.5, 0.0, 0.25])
+            assert cumulative_stats(inst, params, l, eps) == reference_stats(
+                inst, params, l, eps
+            )
+
+
+@pytest.mark.parametrize("case", ["n = 0", "golden crosscheck", "wide digits"])
+def test_stats_match_the_dict_aggregate(case):
+    cap = DEFAULT_CAP
+    if case == "n = 0":
+        inst = build_instance(["1", "2", "3"], 2, 2, "12")
+        assert inst.n == 0
+        cases = [(inst, 2), (inst, 3)]
+    elif case == "golden crosscheck":
+        cases = golden_crosscheck()
+        assert len(cases) == 15
+    else:
+        inst = wide_digit_instance()
+        assert unconstrained_count(inst) > 2**64
+        cap = 10**30
+        cases = [(inst, 2), (inst, 16), (inst, inst.size)]
+    for inst, l in cases:
+        params = UNIFORM if inst.n == 0 else solve_params(inst)
+        got = cumulative_stats(inst, params, l, cap=cap)
+        assert got == reference_stats(inst, params, l, cap=cap)
 
 
 def test_degenerate_modes_match_expanded_instance():
