@@ -335,11 +335,18 @@ def cmd_zcheck(args: argparse.Namespace) -> dict:
         else solver.solve_params(inst).beta
     )
     # past float range every mode's Boltzmann exponent is inf or nan, and
-    # the recurrence would only end in a misleading pole error
+    # the recurrence would only end in a misleading pole error; its largest
+    # tilt k*beta*(lambda_j - lambda_p) is at k = 4n and the widest gap
     lam2 = float(inst.mode_weights[0])
     if not math.isfinite(beta * lam2):
         raise InputError(
             f"--beta {beta} overflows beta * lambda_2 (lambda_2 = {lam2})"
+        )
+    gap = float(inst.mode_weights[0] - inst.mode_weights[-1])
+    if not math.isfinite(4 * inst.n * abs(beta) * gap):
+        raise InputError(
+            f"--beta {beta} overflows 4n * |beta| * (lambda_2 - lambda_s) "
+            f"(n = {inst.n}, lambda_2 - lambda_s = {gap})"
         )
 
     # One recurrence serves the three rows: the 4n profile starts with the

@@ -71,13 +71,11 @@ def unit_price_family(
 def with_total(instance: ProblemInstance, n: int) -> ProblemInstance:
     """Copy an instance with n increments and a slack budget.
 
-    Used by the partition doubling schedule, where only the mode weights,
-    their degeneracies and the unit total matter.
+    Used by the partition doubling schedule, where only the mode weights
+    and the unit total matter.
     """
     k, scale = instance.bounds.min_shares, instance.scale
     phi = (k + n) * instance.weights.numerators[0]
     return ProblemInstance(
-        instance.schedule,
-        InvestmentBounds(k, k + n, phi, scale),
-        instance.degeneracies,
+        instance.schedule, InvestmentBounds(k, k + n, phi, scale)
     )

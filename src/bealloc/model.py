@@ -12,13 +12,14 @@ the marginal cost of raising every count from position i onward by one.
 Total spending is K*lambda_1 plus the mode energy sum(N_i * lambda_i), so a
 budget Phi leaves the effective budget E = Phi - K*lambda_1 for the modes.
 
-An instance is its prices, its bounds (K, M and the budget Phi) and its mode
-degeneracies, with every price and the budget held as an exact integer
-numerator over one common denominator, the instance `scale`. The tail
-weights are not an input: they are derived from the prices as integer
-suffix sums. `build_instance` parses decimal strings straight to those
-integers and `families.from_fractions` converts exact rationals once; each
-part has the one constructor that takes the integers. Every validation is
+An instance is its prices and its bounds (K, M and the budget Phi), with
+every price and the budget held as an exact integer numerator over one
+common denominator, the instance `scale`. The tail weights are not an
+input: they are derived from the prices as integer suffix sums, so each
+enterprise i >= 2 adds exactly one mode. `build_instance` parses decimal
+strings straight to those integers and `families.from_fractions` converts
+exact rationals once; each part has the one constructor that takes the
+integers. Every validation is
 an integer comparison, so feasibility decisions never go through floats.
 The Fraction attributes (`prices`, `values`, `mode_weights`, `budget`,
 `effective_budget`) are views derived from the integers on demand.
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import (
     BoundsInverted,
@@ -205,25 +206,17 @@ class TailWeights:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A validated allocation problem: prices, bounds and degeneracies.
+    """A validated allocation problem: prices and bounds.
 
     The schedule and the bounds share one scale. The tail weights, n = M - K
     and the effective budget E = Phi - K*lambda_1 are derived from them.
-    degeneracies holds one multiplicity per mode 2..s; () means all 1.
     """
 
     schedule: PriceSchedule
     bounds: InvestmentBounds
-    degeneracies: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        s, scale = self.schedule.size, self.schedule.scale
-        degeneracies = tuple(self.degeneracies) or (1,) * (s - 1)
-        if len(degeneracies) != s - 1:
-            raise InputError("need one degeneracy per mode 2..s")
-        if any(q < 1 for q in degeneracies):
-            raise InputError("degeneracies must be >= 1")
-        object.__setattr__(self, "degeneracies", degeneracies)
+        scale = self.schedule.scale
         if self.bounds.scale != scale:
             raise ScaleMismatch(
                 f"bounds scale {self.bounds.scale} differs from the schedule "
@@ -273,15 +266,10 @@ class ProblemInstance:
         # and every Composition.energy call ask for it
         return self.weights.numerators[1:]
 
-    @cached_property
-    def _expanded_modes(self) -> tuple[int, ...]:
-        # the scaled mode weights with each mode repeated q times: the
-        # oracle's columns, which every Composition.energy call reads
-        return tuple(
-            w
-            for w, q in zip(self.mode_weights_scaled(), self.degeneracies)
-            for _ in range(q)
-        )
+    @property
+    def degeneracies(self) -> tuple[int, ...]:
+        # every mode is simple; kept only for perfbench until its next change
+        return (1,) * (self.size - 1)
 
     def effective_budget_scaled(self) -> int:
         """E = Phi - K*lambda_1 as an exact integer at the scale."""
@@ -320,7 +308,6 @@ def build_instance(
     budget: Optional[str],
     *,
     scale: int = DEFAULT_SCALE,
-    degeneracies: Optional[Sequence[int]] = None,
 ) -> ProblemInstance:
     """Validate raw inputs and assemble a ProblemInstance.
 
@@ -344,7 +331,5 @@ def build_instance(
         else parse_scaled(budget, scale, "budget")
     )
     return ProblemInstance(
-        schedule,
-        InvestmentBounds(min_shares, max_shares, phi, scale),
-        degeneracies or (),
+        schedule, InvestmentBounds(min_shares, max_shares, phi, scale)
     )

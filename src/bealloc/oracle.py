@@ -26,9 +26,6 @@ w is one bit wider than that bound, so adding packed values adds the
 digits and shifting by w*v moves a histogram up by v units, and no digit
 ever carries into the next. A join is then a few big-int additions and
 shifts per kid, and the digits are read out once, after the walk.
-
-Modes with degeneracy q > 1 are expanded into q identical columns, matching
-the partition-function convention.
 """
 
 from __future__ import annotations
@@ -71,7 +68,7 @@ class Composition:
         return sum(self.parts)
 
     def energy(self, instance: ProblemInstance) -> Fraction:
-        lams = instance._expanded_modes
+        lams = instance.mode_weights_scaled()
         if len(self.parts) != len(lams):
             raise InputError(
                 f"composition has {len(self.parts)} parts, instance has "
@@ -125,7 +122,7 @@ class SampleResult:
 
 def unconstrained_count(instance: ProblemInstance) -> int:
     """Compositions of n units over the modes, ignoring the budget."""
-    m = len(instance._expanded_modes)
+    m = instance.size - 1
     return math.comb(instance.n + m - 1, m - 1)
 
 
@@ -143,7 +140,7 @@ def iter_compositions(
 ) -> Iterator[Composition]:
     """Yield every member of M in lexicographic order of its parts."""
     check_cap(instance, cap)
-    lams = instance._expanded_modes
+    lams = instance.mode_weights_scaled()
     budget = instance.effective_budget_scaled()
     n = instance.n
     m = len(lams)
@@ -159,8 +156,9 @@ def iter_compositions(
             yield Composition(tuple(parts))
             parts[i] = 0
             return
+        # weights strictly decrease, so span > 0 before the last mode
         span = lams[i] - lmin
-        vmax = units if span == 0 else min(units, (left - units * lmin) // span)
+        vmax = min(units, (left - units * lmin) // span)
         for v in range(vmax + 1):
             parts[i] = v
             yield from rec(i + 1, units - v, left - v * lams[i])
@@ -247,7 +245,9 @@ def count_configurations(
     """|M|, computed independently of the visitor walk."""
     check_cap(instance, cap)
     return _count(
-        instance._expanded_modes, instance.n, instance.effective_budget_scaled()
+        instance.mode_weights_scaled(),
+        instance.n,
+        instance.effective_budget_scaled(),
     )
 
 
@@ -294,8 +294,8 @@ def cumulative_stats(
         raise IndexRange(f"l = {l} outside 2..{s}")
     delta = deviation_band(instance.n, epsilon)
     check_cap(instance, cap)
-    lams = instance._expanded_modes
-    lead = sum(instance.degeneracies[: l - 1])  # slots that count into S_l
+    lams = instance.mode_weights_scaled()
+    lead = l - 1  # modes 2..l, the ones that count into S_l
 
     # One walk aggregates |M|, the S_l histogram and the per-mode totals.
     # Those of a suffix are relative to it, so the memo reuses them at any
@@ -347,10 +347,9 @@ def cumulative_stats(
         if abs(a - center) >= delta
     )
 
-    # prefix-sum the expanded-slot totals, read at each enterprise's last slot
-    cumulative = list(accumulate(_unpack(totals, w, len(lams))))
-    ends = accumulate(instance.degeneracies)
-    means = tuple(Fraction(cumulative[e - 1], total) for e in ends)
+    means = tuple(
+        Fraction(c, total) for c in accumulate(_unpack(totals, w, len(lams)))
+    )
 
     return EnsembleStats(
         total_count=total,
@@ -375,7 +374,7 @@ def low_energy_shell_weight(
     range raises DomainError.
     """
     check_cap(instance, cap)
-    lams = instance._expanded_modes
+    lams = instance.mode_weights_scaled()
     budget = instance.effective_budget_scaled()
     total = _count(lams, instance.n, budget)
     if total == 0:
@@ -421,7 +420,7 @@ def scaled_energies(instance: ProblemInstance, parts: np.ndarray) -> np.ndarray:
     """Exact scaled energy of each row of parts, a matrix of compositions of
     instance.n over its modes: int64 while max(n, 1) * max(lambda) fits in
     2^62, else an object array of Python ints."""
-    lams = instance._expanded_modes
+    lams = instance.mode_weights_scaled()
     if max(instance.n, 1) * max(lams) > 2**62:
         return parts.astype(object) @ np.array(lams, dtype=object)
     return parts @ np.array(lams, dtype=np.int64)
@@ -444,7 +443,7 @@ def sample_uniform(
         raise InputError(f"sample count must be nonnegative, got {count}")
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
-    m = len(instance._expanded_modes)
+    m = instance.size - 1
     n = instance.n
     kept = [np.zeros((0, m), dtype=np.int64)]
     accepted = drawn = 0

@@ -15,7 +15,7 @@ scaled integer weights. Each mode's update is then a geometric prefix sum,
 
 one cumulative log-add-exp over the units per mode, in log space so
 nothing ever over- or underflows. The grand sum
-zeta(beta, nu) = prod_j (1 - exp(nu - beta*lambda_j))^(-q_j) ties Z to the
+zeta(beta, nu) = prod_j (1 - exp(nu - beta*lambda_j))^(-1) ties Z to the
 occupancy solver: the saddle point nu* satisfies the same equation as the
 count constraint sigma, and the Gaussian approximation around it gives
 
@@ -104,18 +104,18 @@ def z_profile(
     The recurrence runs over the units in order and each cumulative
     log-add-exp is sequential, so entry k depends only on the modes, beta
     and k: a longer profile starts with every shorter one, bit for bit.
-    Only instance's modes and degeneracies matter, not its n. Raises
-    CapExceeded past DP_MAX_MODES modes.
+    Only instance's modes matter, not its n. Raises CapExceeded past
+    DP_MAX_MODES modes.
     """
     units = min(n_max, DP_MAX_UNITS)
-    _check_caps(units, sum(instance.degeneracies))
+    _check_caps(units, instance.size - 1)
     modes = mode_offsets(instance, beta)
     k = np.arange(units + 1, dtype=float)
     log_z = np.full(k.size, -np.inf)
     log_z[0] = 0.0
     # log r = -beta*d <= 0 per mode; the pole energy beta*lambda_p*n is
     # added by z_exact, so the prefix sums carry only the offsets
-    for log_r in np.repeat(-beta * modes.d, instance.degeneracies):
+    for log_r in -beta * modes.d:
         tilt = k * log_r
         log_z = tilt + np.logaddexp.accumulate(log_z - tilt)
     return log_z
@@ -132,7 +132,7 @@ def z_exact(
     that reaches n; its entry n is read instead of rerunning the recurrence.
     """
     n = instance.n
-    _check_caps(n, sum(instance.degeneracies))
+    _check_caps(n, instance.size - 1)
     if profile is None:
         profile = z_profile(instance, beta, n)
     pole = mode_offsets(instance, beta).pole
@@ -145,7 +145,7 @@ def grand_partition(
     """log zeta(beta, nu) with its first two nu-derivatives.
 
     Requires nu < beta*lambda_j for every mode. The summands are the
-    mode occupancies: dlog = sum q*occ, d2log = sum q*occ*(occ+1). One pass
+    mode occupancies: dlog = sum occ, d2log = sum occ*(occ+1). One pass
     of the solver's occupancy kernel in pole-offset coordinates.
     """
     modes = mode_offsets(instance, beta)
@@ -221,8 +221,8 @@ def z_integral(
 
     The integrand is smooth and periodic, so the uniform-grid sum converges
     spectrally; grid must be at least 64. zeta = 1/P with
-    P = prod_j (1 - r_j*exp(i*alpha))^q_j and r_j = exp(-x_j) < 1, one ratio
-    per mode repeated q_j times. With P the blocked, rescaled product of
+    P = prod_j (1 - r_j*exp(i*alpha)) and r_j = exp(-x_j) < 1, one ratio
+    per mode. With P the blocked, rescaled product of
     `_contour_product`, the integrand is
     exp(-log|P| - shift) * (|P|/P) * exp(-i*N*alpha), with shift the
     largest -log|P|: one logarithm per grid point, none per mode.
@@ -234,9 +234,7 @@ def z_integral(
         raise DomainError(f"nu = {nu} is within float resolution of a pole")
     n = instance.n
     alphas = -math.pi + (2.0 * math.pi / grid) * np.arange(grid)
-    mantissa, exponent = _contour_product(
-        np.repeat(r, instance.degeneracies), np.exp(1j * alphas)
-    )
+    mantissa, exponent = _contour_product(r, np.exp(1j * alphas))
     modulus = np.abs(mantissa)
     log_zeta = -(np.log(modulus) + math.log(2.0) * exponent)
     shift = float(log_zeta.max())

@@ -2,12 +2,12 @@
 
     n_j = 1 / (exp(beta*lambda_j - sigma) - 1),   j = 2..s,
 
-meet the two constraints sum_j q_j*n_j = N (units placed) and
-sum_j q_j*lambda_j*n_j = E (effective budget spent). The fit is the
+meet the two constraints sum_j n_j = N (units placed) and
+sum_j lambda_j*n_j = E (effective budget spent). The fit is the
 minimum of the strictly convex max-entropy dual
 
     F(beta, nu) = log zeta(beta, nu) + beta*E - nu*N,
-    log zeta = -sum_j q_j * log(1 - exp(nu - beta*lambda_j)),
+    log zeta = -sum_j log(1 - exp(nu - beta*lambda_j)),
 
 at nu = sigma; its gradient is (E - energy sum, count sum - N). One damped
 Newton iteration minimizes it, backtracking on F.
@@ -20,15 +20,15 @@ With x0 = beta*lambda_p - nu every mode argument is
 
 so the domain is just x0 > 0 with beta kept on its side of 0, and in
 (beta, x0) the Hessian of F is the occupancy covariance
-sum_j q_j*n_j*(n_j+1) * [d_j^2, d_j; d_j, 1]. The differences d_j come
+sum_j n_j*(n_j+1) * [d_j^2, d_j; d_j, 1]. The differences d_j come
 exactly from the scaled integer weights, and x0 keeps full relative
 precision however close sigma sits to the pole, where an absolute sigma
 has only ulp(beta*lambda_p) of resolution. The sign of beta, and with it
 the pole, is fixed beforehand by an exact comparison of E with the uniform
-(beta = 0) mean energy N*sum(q*lambda)/Q, Q = sum(q); at equality beta = 0
-and sigma = -log(1 + Q/N) in closed form. The fixed-beta count solve
-(solve_sigma) is the one-dimensional Newton iteration in x0 on the same
-occupancy kernel, which the partition layer shares too.
+(beta = 0) mean energy N*sum(lambda)/Q over the Q = s - 1 modes; at
+equality beta = 0 and sigma = -log(1 + Q/N) in closed form. The fixed-beta
+count solve (solve_sigma) is the one-dimensional Newton iteration in x0 on
+the same occupancy kernel, which the partition layer shares too.
 
 Rounded integer increments come from largest-remainder apportionment with a
 greedy budget repair that pushes units from the leftmost occupied mode to
@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,7 +111,6 @@ class ModeOffsets(NamedTuple):
     """Modes as exact offsets d_j = lambda_j - lambda_p from a pole mode."""
 
     d: np.ndarray
-    q: np.ndarray
     pole: Fraction
 
     def x0(self, beta: float, sigma: float) -> float:
@@ -128,35 +127,25 @@ class ModeOffsets(NamedTuple):
 class OccupancySums(NamedTuple):
     """One pass over the modes at (beta, x0); n_j are the occupancies."""
 
-    count: float       # sum q*n
-    energy: float      # sum q*d*n, the energy above N*lambda_p at the count
-    curvature: float   # sum w, w = q*n*(n+1)
+    count: float       # sum n
+    energy: float      # sum d*n, the energy above N*lambda_p at the count
+    curvature: float   # sum w, w = n*(n+1)
     mean_d: float      # sum w*d / sum w
     spread: float      # sum w*(d - mean_d)^2
-    log_zeta: float    # -sum q*log(1 - exp(-x)) = sum q*log(1 + n)
+    log_zeta: float    # -sum log(1 - exp(-x)) = sum log(1 + n)
 
 
-def mode_offsets(
-    instance: ProblemInstance,
-    beta: float,
-    scaled: Optional[Sequence[int]] = None,
-) -> ModeOffsets:
+def mode_offsets(instance: ProblemInstance, beta: float) -> ModeOffsets:
     """Offsets from the pole mode of a beta of this sign (lambda_2 for
-    beta < 0, else lambda_s), so that x_j >= x0 on every mode. scaled are
-    the integer mode weights when the caller already holds them."""
-    if scaled is None:
-        scaled = instance.mode_weights_scaled()
+    beta < 0, else lambda_s), so that x_j >= x0 on every mode."""
+    scaled = instance.mode_weights_scaled()
     p = 0 if beta < 0 else len(scaled) - 1
     d = np.array([w - scaled[p] for w in scaled], dtype=float)
-    return ModeOffsets(
-        d / instance.scale,
-        np.array(instance.degeneracies, dtype=float),
-        Fraction(scaled[p], instance.scale),
-    )
+    return ModeOffsets(d / instance.scale, Fraction(scaled[p], instance.scale))
 
 
 def mode_occupancies(modes: ModeOffsets, beta: float, x0: float) -> np.ndarray:
-    """n_j = 1/(exp(x_j) - 1) at x_j = beta*d_j + x0 (without q_j)."""
+    """n_j = 1/(exp(x_j) - 1) at x_j = beta*d_j + x0."""
     x = beta * modes.d + x0
     return np.exp(-x) / -np.expm1(-x)
 
@@ -170,30 +159,16 @@ def occupancy_sums(modes: ModeOffsets, beta: float, x0: float) -> OccupancySums:
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         occ = mode_occupancies(modes, beta, x0)
-        qn = modes.q * occ
-        w = qn * (occ + 1.0)
+        w = occ * (occ + 1.0)
         curvature = float(w.sum())
         mean_d = float(w @ modes.d) / curvature if curvature > 0 else 0.0
         spread = float(w @ np.square(modes.d - mean_d))
         # -log(1 - exp(-x)) = log(1 + n), accurate for small and large n
-        log_zeta = float(modes.q @ np.log1p(occ))
+        log_zeta = float(np.log1p(occ).sum())
     return OccupancySums(
-        float(qn.sum()), float(qn @ modes.d), curvature, mean_d, spread,
+        float(occ.sum()), float(occ @ modes.d), curvature, mean_d, spread,
         log_zeta,
     )
-
-
-def count_sum(instance: ProblemInstance, beta: float, sigma: float) -> float:
-    """sum_j q_j * n_j over modes 2..s."""
-    modes = mode_offsets(instance, beta)
-    return occupancy_sums(modes, beta, modes.x0(beta, sigma)).count
-
-
-def energy_sum(instance: ProblemInstance, beta: float, sigma: float) -> float:
-    """sum_j q_j * lambda_j * n_j over modes 2..s."""
-    modes = mode_offsets(instance, beta)
-    sums = occupancy_sums(modes, beta, modes.x0(beta, sigma))
-    return sums.energy + float(modes.pole) * sums.count
 
 
 def solve_offset(modes: ModeOffsets, n: int, beta: float) -> float:
@@ -228,7 +203,7 @@ def solve_offset(modes: ModeOffsets, n: int, beta: float) -> float:
 
 
 def solve_sigma(instance: ProblemInstance, beta: float) -> float:
-    """Solve count_sum(beta, sigma) = n for sigma at fixed beta."""
+    """Solve sum_j n_j(beta, sigma) = n for sigma at fixed beta."""
     if instance.n == 0:
         raise DegenerateBoundary("sigma solve needs at least one increment")
     modes = mode_offsets(instance, beta)
@@ -256,18 +231,16 @@ def solve_params(instance: ProblemInstance) -> ThermoParams:
         )
 
     scale = instance.scale
-    total_q = sum(instance.degeneracies)
-    # E*Q against N*sum(q*lambda): beta > 0 below the uniform mean energy.
-    mean_gap = n * sum(g * w for g, w in zip(instance.degeneracies, scaled)) \
-        - e_scaled * total_q
+    # E*Q against N*sum(lambda): beta > 0 below the uniform mean energy.
+    mean_gap = n * sum(scaled) - e_scaled * len(scaled)
     sign = (mean_gap > 0) - (mean_gap < 0)
-    modes = mode_offsets(instance, sign, scaled)
+    modes = mode_offsets(instance, sign)
     lam_p = float(modes.pole)
     e_shift = float(Fraction(e_scaled, scale) - n * modes.pole)
     n_scale = max(1.0, float(n))
     e_scale = max(1.0, abs(e_scaled / scale))
 
-    beta, x0 = 0.0, math.log1p(total_q / n)
+    beta, x0 = 0.0, math.log1p(len(scaled) / n)
     sums = occupancy_sums(modes, beta, x0)
     dual = sums.log_zeta + x0 * n
     best = (math.inf, beta, x0, 0.0, 0.0)
@@ -325,7 +298,7 @@ def predicted_cumulative(
         raise IndexRange(f"l = {l} outside 2..{instance.size}")
     modes = mode_offsets(instance, params.beta)
     x0 = modes.x0(params.beta, params.sigma)
-    occ = modes.q * mode_occupancies(modes, params.beta, x0)
+    occ = mode_occupancies(modes, params.beta, x0)
     return float(occ[: l - 1].sum())
 
 
@@ -358,9 +331,9 @@ def build_allocation(
         )
 
     lam_scaled = instance.mode_weights_scaled()
-    modes = mode_offsets(instance, params.beta, lam_scaled)
+    modes = mode_offsets(instance, params.beta)
     x0 = modes.x0(params.beta, params.sigma)
-    occ = (modes.q * mode_occupancies(modes, params.beta, x0)).tolist()
+    occ = mode_occupancies(modes, params.beta, x0).tolist()
     m = len(occ)
     parts = [math.floor(v) for v in occ]
     missing = instance.n - sum(parts)

@@ -417,20 +417,25 @@ def test_scale_minus_five_on_whole_prices(capsys, prices_file):
     )
 
 
-def test_python_m_bealloc_runs_the_cli(capsys, tmp_path):
-    path = tmp_path / "p.csv"
-    path.write_text("1.25\n0.75\n1\n0.5\n1.5\n1\n0.25\n1\n2\n0.75\n")
-    argv = ["solve", "--prices", str(path), "--min-shares", "0",
-            "--max-shares", "10", "--budget", "55.25"]
+def python_m_bealloc(argv):
+    """Run `python -m bealloc argv` on this checkout in a fresh process."""
     src = str(Path(bealloc.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "bealloc", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_python_m_bealloc_runs_the_cli(capsys, tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("1.25\n0.75\n1\n0.5\n1.5\n1\n0.25\n1\n2\n0.75\n")
+    argv = ["solve", "--prices", str(path), "--min-shares", "0",
+            "--max-shares", "10", "--budget", "55.25"]
+    proc = python_m_bealloc(argv)
     code, out, _ = run(capsys, argv)
     assert (proc.returncode, code) == (0, 0)
     assert proc.stdout == out
@@ -560,6 +565,25 @@ def test_zcheck_beta_past_float_range_is_an_input_error(
         f"error: --beta {float(beta)} overflows beta * lambda_2 "
         "(lambda_2 = 5.0)\n",
     )
+
+
+@pytest.mark.parametrize("beta", ["3.5e307", "-3.5e307"])
+def test_zcheck_beta_past_the_largest_tilt_is_an_input_error(tmp_path, beta):
+    # beta * lambda_2 fits a float, 4n * |beta| * (lambda_2 - lambda_s) = 16
+    # * 3.5e307 * 2.25 does not: rejected before the recurrence warns, in a
+    # fresh process, so its real stderr is what is checked
+    path = tmp_path / "p.csv"
+    path.write_text("3.5\n2.25\n1.0\n")
+    proc = python_m_bealloc(
+        ["zcheck", "--prices", str(path), "--min-shares", "0",
+         "--max-shares", "4", f"--beta={beta}"]
+    )
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == (
+        f"error: --beta {float(beta)} overflows 4n * |beta| * "
+        "(lambda_2 - lambda_s) (n = 4, lambda_2 - lambda_s = 2.25)\n"
+    )
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_zcheck_extreme_finite_beta_keeps_its_pole_error(capsys, prices_file):

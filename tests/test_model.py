@@ -113,7 +113,6 @@ def test_example_instance_fields():
     assert inst.mode_weights == (Fraction(5), Fraction(3))
     assert inst.n == 2
     assert inst.effective_budget == 8
-    assert inst.degeneracies == (1, 1)
     assert inst.size == 3
     assert inst.interior
 
@@ -160,15 +159,6 @@ def test_budget_window_low_and_high():
     build_instance(["1", "2", "3"], 1, 2, "12")
 
 
-def test_degeneracies_validated():
-    inst = build_instance(["1", "2", "3"], 0, 2, "8", degeneracies=[2, 1])
-    assert inst.degeneracies == (2, 1)
-    with pytest.raises(InputError, match="one degeneracy per mode"):
-        build_instance(["1", "2", "3"], 0, 2, "8", degeneracies=[1])
-    with pytest.raises(InputError, match=">= 1"):
-        build_instance(["1", "2", "3"], 0, 2, "8", degeneracies=[0, 1])
-
-
 def test_parts_are_held_at_the_schedule_scale():
     prices = (Fraction(1), Fraction(2), Fraction(3))
     inst = from_fractions(prices, 0, 2, Fraction(8))
@@ -198,7 +188,7 @@ def test_each_part_takes_integers_only():
         PriceSchedule((1, -1), 2)
     # the tail weights are derived, so they cannot disagree with the prices
     assert list(inspect.signature(ProblemInstance).parameters) == [
-        "schedule", "bounds", "degeneracies",
+        "schedule", "bounds",
     ]
     inst = ProblemInstance(
         PriceSchedule((1, 2, 3), 1), InvestmentBounds(1, 3, 18, 1)
@@ -227,14 +217,6 @@ def test_scaled_views_are_computed_once():
         assert prices == tuple(
             int(p * inst.scale) for p in inst.schedule.prices
         )
-        modes = inst._expanded_modes
-        assert inst._expanded_modes is modes
-        assert modes == weights
-    degenerate = build_instance(["1", "2", "3"], 0, 2, "8", degeneracies=[2, 1])
-    assert degenerate._expanded_modes == tuple(
-        w * degenerate.scale for w in (5, 5, 3)
-    )
-    assert degenerate._expanded_modes is degenerate._expanded_modes
 
 
 def test_random_instances_satisfy_invariants():

@@ -42,7 +42,7 @@ from bealloc.oracle import (
     deviation_band,
 )
 from bealloc.solver import predicted_cumulative
-from conftest import decimal_string, random_instance
+from conftest import random_instance
 
 LN2 = math.log(2.0)
 UNIFORM = ThermoParams(0.0, -LN2, 0.0, 0.0)
@@ -159,9 +159,8 @@ def test_cumulative_stats_against_direct_walk():
         lead = l - 1
         sums = [sum(c.parts[:lead]) for c in comps]
         center = sum(
-            inst.degeneracies[j]
-            * (1.0 / (math.exp(params.beta * float(inst.mode_weights[j])
-                               - params.sigma) - 1.0))
+            1.0 / (math.exp(params.beta * float(inst.mode_weights[j])
+                            - params.sigma) - 1.0)
             for j in range(lead)
         )
         delta = float(inst.n) ** (0.75 + eps)
@@ -181,8 +180,8 @@ def reference_stats(instance, params, l, epsilon=0.0, cap=DEFAULT_CAP):
     that the packed aggregate replaced, on the same memoized walk."""
     delta = deviation_band(instance.n, epsilon)
     check_cap(instance, cap)
-    lams = instance._expanded_modes
-    lead = sum(instance.degeneracies[: l - 1])
+    lams = instance.mode_weights_scaled()
+    lead = l - 1
 
     def fits(i, units):
         m = len(lams) - i
@@ -223,21 +222,8 @@ def reference_stats(instance, params, l, epsilon=0.0, cap=DEFAULT_CAP):
         raise DegenerateBoundary("configuration set is empty")
     center = predicted_cumulative(instance, params, l)
     bad = sum(c for a, c in hist.items() if abs(a - center) >= delta)
-    cumulative = list(accumulate(totals))
-    ends = accumulate(instance.degeneracies)
-    means = tuple(Fraction(cumulative[e - 1], total) for e in ends)
+    means = tuple(Fraction(c, total) for c in accumulate(totals))
     return EnsembleStats(total, means, bad / total, delta, l)
-
-
-def with_degeneracies(rng, base):
-    q = [rng.randint(1, 3) for _ in base.mode_weights]
-    return build_instance(
-        [decimal_string(p) for p in base.schedule.prices],
-        base.bounds.min_shares,
-        base.bounds.max_shares,
-        decimal_string(base.bounds.budget),
-        degeneracies=q,
-    )
 
 
 def golden_crosscheck():
@@ -257,9 +243,8 @@ def wide_digit_instance():
 def test_stats_match_the_dict_aggregate_on_random_instances():
     rng = random.Random(71)
     for trial in range(60):
-        inst = random_instance(rng, s_max=8, n_max=8)
-        if trial % 2:
-            inst = with_degeneracies(rng, inst)
+        # every other trial with up to 15 modes
+        inst = random_instance(rng, s_max=16 if trial % 2 else 8, n_max=8)
         params = solve_params(inst)
         for l in {2, rng.randint(2, inst.size), inst.size}:
             eps = rng.choice([-0.5, 0.0, 0.25])
@@ -287,66 +272,6 @@ def test_stats_match_the_dict_aggregate(case):
         params = UNIFORM if inst.n == 0 else solve_params(inst)
         got = cumulative_stats(inst, params, l, cap=cap)
         assert got == reference_stats(inst, params, l, cap=cap)
-
-
-def test_degenerate_modes_match_expanded_instance():
-    # q = (2, 1) over weights (5, 3) counts like expanded columns (5, 5, 3):
-    # energy <= 8 admits (0,0,2) at 6 plus (0,1,1) and (1,0,1) at 8
-    inst = build_instance(["1", "2", "3"], 0, 2, "8", degeneracies=[2, 1])
-    assert unconstrained_count(inst) == math.comb(2 + 2, 2)
-    got = [c.parts for c in iter_compositions(inst)]
-    assert got == [(0, 0, 2), (0, 1, 1), (1, 0, 1)]
-    assert count_configurations(inst) == 3
-    for parts in got:
-        assert Composition(parts).energy(inst) <= 8
-
-
-def test_degenerate_modes_against_direct_walk():
-    # q > 1: every aggregate of the memoized walk against the visitor walk
-    rng = random.Random(58)
-    for _ in range(20):
-        base = random_instance(rng, s_max=5, n_max=5)
-        q = [rng.randint(1, 3) for _ in base.mode_weights]
-        inst = build_instance(
-            [decimal_string(p) for p in base.schedule.prices],
-            base.bounds.min_shares,
-            base.bounds.max_shares,
-            decimal_string(base.bounds.budget),
-            degeneracies=q,
-        )
-        comps = list(iter_compositions(inst))
-        assert count_configurations(inst) == len(comps)
-
-        params = solve_params(inst)
-        l = rng.randint(2, inst.size)
-        stats = cumulative_stats(inst, params, l, epsilon=-0.5)
-        lead = sum(q[: l - 1])
-        center = sum(
-            q[j]
-            * (1.0 / (math.exp(params.beta * float(inst.mode_weights[j])
-                               - params.sigma) - 1.0))
-            for j in range(l - 1)
-        )
-        delta = float(inst.n) ** 0.25
-        bad = sum(
-            1 for c in comps if abs(sum(c.parts[:lead]) - center) >= delta
-        )
-        assert stats.deviation_fraction == pytest.approx(bad / len(comps))
-        for idx in range(inst.size - 1):
-            cols = sum(q[: idx + 1])
-            total = sum(sum(c.parts[:cols]) for c in comps)
-            assert stats.cumulative_mean[idx] == Fraction(total, len(comps))
-
-        beta = rng.choice([-0.3, 0.2, 0.9])
-        threshold = inst.effective_budget - Fraction(float(inst.n) ** 0.75)
-        expected = math.fsum(
-            math.exp(-beta * float(c.energy(inst)))
-            for c in comps
-            if c.energy(inst) <= threshold
-        ) / len(comps)
-        assert low_energy_shell_weight(inst, beta) == pytest.approx(
-            expected, rel=1e-12, abs=0.0
-        )
 
 
 def old_shell_weight(inst, beta, epsilon=0.25):
@@ -506,7 +431,7 @@ def reference_sample(instance, count, seed):
     converted one element at a time, every accepted row kept."""
     if count == 0:
         return (), 1.0
-    lams = instance._expanded_modes
+    lams = instance.mode_weights_scaled()
     m, n = len(lams), instance.n
     budget = instance.effective_budget_scaled()
     rng = np.random.default_rng(seed)
@@ -556,9 +481,9 @@ SAMPLER_CASES = {
 def test_sampler_matches_the_row_loop(case):
     make, count = SAMPLER_CASES[case]
     inst = make()
-    m = len(inst._expanded_modes)
+    m = inst.size - 1
     if case == "exact fallback":
-        assert inst.n * max(inst._expanded_modes) > 2**62
+        assert inst.n * max(inst.mode_weights_scaled()) > 2**62
     for seed in (0, 1, 7, 12345):
         result = sample_uniform(inst, count, seed)
         comps, rate = reference_sample(inst, count, seed)

@@ -52,23 +52,13 @@ def brute_force_log_z(inst, beta):
     return shift + math.log(math.fsum(math.exp(x - shift) for x in xs))
 
 
-def test_with_total_keeps_degeneracies():
-    # the doubling copy must keep q = (2, 1), or z_exact loses a column
-    inst = build_instance(["1", "2", "3"], 0, 2, "8", degeneracies=[2, 1])
-    copy = with_total(inst, 4)
-    direct = build_instance(["1", "2", "3"], 0, 4, "24", degeneracies=[2, 1])
-    assert copy.degeneracies == (2, 1)
-    for beta in (-0.4, 0.0, 0.3):
-        assert z_exact(copy, beta) == z_exact(direct, beta)
-
-
 @pytest.mark.parametrize("beta", [-0.4, 0.0, 0.3])
-@pytest.mark.parametrize("degeneracies", [None, [2, 1, 3]])
-def test_z_profile_prefix_is_bit_identical(beta, degeneracies):
+@pytest.mark.parametrize("more_prices", [None, ["0.25", "1.5", "0.5"]])
+def test_z_profile_prefix_is_bit_identical(beta, more_prices):
     # zcheck reads rows n and 2n from the 4n profile: every entry must be
     # the one a shorter run gives, exactly
-    inst = build_instance(["1.25", "0.5", "2", "0.75"], 0, 7, "30",
-                          degeneracies=degeneracies)
+    prices = ["1.25", "0.5", "2", "0.75"] + (more_prices or [])
+    inst = build_instance(prices, 0, 7, "30")
     n = inst.n
     long = z_profile(inst, beta, 4 * n)
     assert long.shape == (4 * n + 1,)
@@ -76,6 +66,8 @@ def test_z_profile_prefix_is_bit_identical(beta, degeneracies):
         assert np.array_equal(long[: k + 1], z_profile(inst, beta, k))
     for k in (n, 2 * n, 4 * n):
         inst_k = with_total(inst, k)
+        # the doubling copy is the instance built with k units directly
+        assert inst_k == build_instance(prices, 0, k, None)
         assert z_exact(inst_k, beta, long) == z_exact(inst_k, beta)
 
 
@@ -124,12 +116,9 @@ def test_z_exact_against_brute_force():
 def reference_log_z(inst, beta):
     """The unit-by-unit log-add-exp loop over absolute mode weights that the
     per-mode prefix evaluation replaced."""
-    lams = []
-    for w, g in zip(inst.mode_weights, inst.degeneracies):
-        lams.extend([float(w)] * g)
     log_z = [0.0] + [-math.inf] * inst.n
-    for lam in lams:
-        lw = -beta * lam
+    for lam in inst.mode_weights:
+        lw = -beta * float(lam)
         for i in range(1, inst.n + 1):
             a, b = log_z[i], lw + log_z[i - 1]
             if a < b:
@@ -141,17 +130,16 @@ def reference_log_z(inst, beta):
 
 
 def test_z_exact_matches_reference_loop():
-    # both signs of beta and beta = 0, degenerate modes, up to ~60 expanded
-    # modes and a few hundred units
+    # both signs of beta and beta = 0, up to 60 modes and a few hundred
+    # units
     rng = random.Random(89)
     for case in range(30):
-        s = rng.randint(2, 31)
+        s = rng.randint(2, 61)
         n = rng.choice([1, rng.randint(2, 40), rng.randint(100, 300)])
         cents = [rng.randint(1, 10000) for _ in range(s)]
         prices = [decimal_string(Fraction(c, 100)) for c in cents]
-        degeneracies = [rng.randint(1, 2) for _ in range(s - 1)]
         budget = decimal_string(n * Fraction(sum(cents), 100))
-        inst = build_instance(prices, 0, n, budget, degeneracies=degeneracies)
+        inst = build_instance(prices, 0, n, budget)
         beta = (case % 3 - 1) * 10.0 ** rng.uniform(-4.0, 0.0)
         assert z_exact(inst, beta).log == pytest.approx(
             reference_log_z(inst, beta), rel=1e-12, abs=1e-12
@@ -159,13 +147,11 @@ def test_z_exact_matches_reference_loop():
 
 
 def test_z_exact_beta_zero_at_the_caps():
-    # DP_MAX_MODES expanded modes (one doubled) and DP_MAX_UNITS units:
-    # every composition weighs 1, so Z = C(n + m - 1, m - 1)
+    # DP_MAX_MODES modes and DP_MAX_UNITS units: every composition weighs
+    # 1, so Z = C(n + m - 1, m - 1)
     n, m = DP_MAX_UNITS, DP_MAX_MODES
-    inst = build_instance(
-        ["1"] * m, 0, n, str(n * m), degeneracies=[2] + [1] * (m - 2)
-    )
-    assert sum(inst.degeneracies) == m
+    inst = build_instance(["1"] * (m + 1), 0, n, str(n * (m + 1)))
+    assert inst.size - 1 == m
     assert z_exact(inst, 0.0).log == pytest.approx(
         math.log(math.comb(n + m - 1, m - 1)), rel=1e-12
     )
@@ -268,21 +254,23 @@ def test_z_integral_random_contours():
         )
 
 
-def cent_instance(rng, modes, n, max_q=1):
-    """modes distinct cent-priced modes with degeneracies from 1..max_q and
-    n units; the budget sits at the top, so it never binds."""
-    cents = [rng.randint(1, 10000) for _ in range(modes + 1)]
+def cent_instance(rng, clusters, n, cluster=1):
+    """clusters * cluster cent-priced modes and n units; the budget sits at
+    the top, so it never binds. cluster - 1 one-cent prices ahead of each
+    random price make a cluster of modes whose weights are one cent apart."""
+    cents = [rng.randint(1, 10000)]
+    for _ in range(clusters):
+        cents += [1] * (cluster - 1) + [rng.randint(1, 10000)]
     prices = [decimal_string(Fraction(c, 100)) for c in cents]
-    degeneracies = [rng.randint(1, max_q) for _ in range(modes)]
     budget = decimal_string(n * Fraction(sum(cents), 100))
-    return build_instance(prices, 0, n, budget, degeneracies=degeneracies)
+    return build_instance(prices, 0, n, budget)
 
 
 def reference_log_z_integral(inst, beta, nu, grid):
     """The complex-log kernel the blocked product replaced: one row per
-    expanded mode and a complex log of every (mode, grid point) entry."""
+    mode and a complex log of every (mode, grid point) entry."""
     modes = mode_offsets(inst, beta)
-    x = np.repeat(beta * modes.d + modes.x0(beta, nu), inst.degeneracies)
+    x = beta * modes.d + modes.x0(beta, nu)
     alphas = -math.pi + (2.0 * math.pi / grid) * np.arange(grid)
     t = np.exp(-x)[:, None] * np.exp(1j * alphas)[None, :]
     log_integrand = -np.sum(np.log(1.0 - t), axis=0) - 1j * inst.n * alphas
@@ -291,8 +279,8 @@ def reference_log_z_integral(inst, beta, nu, grid):
     return math.log(value) + shift - nu * inst.n
 
 
-# (distinct modes, units, grid, largest degeneracy, sign of beta); at most
-# DP_MAX_MODES expanded modes and DP_MAX_UNITS units
+# (clusters, units, grid, modes per cluster, sign of beta); at most
+# DP_MAX_MODES modes and DP_MAX_UNITS units
 REFERENCE_CASES = [
     (11, 10, 64, 3, -1),
     (11, 10, 64, 1, 0),
@@ -305,12 +293,11 @@ REFERENCE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("modes, n, grid, max_q, sign", REFERENCE_CASES)
-def test_z_integral_matches_reference_kernel(modes, n, grid, max_q, sign):
-    rng = random.Random(f"{modes}:{n}:{grid}:{max_q}:{sign}")
-    inst = cent_instance(rng, modes, n, max_q)
-    assert max(inst.degeneracies) == max_q
-    assert sum(inst.degeneracies) <= DP_MAX_MODES
+@pytest.mark.parametrize("clusters, n, grid, cluster, sign", REFERENCE_CASES)
+def test_z_integral_matches_reference_kernel(clusters, n, grid, cluster, sign):
+    rng = random.Random(f"{clusters}:{n}:{grid}:{cluster}:{sign}")
+    inst = cent_instance(rng, clusters, n, cluster)
+    assert inst.size - 1 == clusters * cluster <= DP_MAX_MODES
     beta = sign * 10.0 ** rng.uniform(-4.0, -1.0)
     nu = saddle_nu(inst, beta)
     assert z_integral(inst, beta, nu, grid).log == pytest.approx(
@@ -320,14 +307,14 @@ def test_z_integral_matches_reference_kernel(modes, n, grid, max_q, sign):
 
 def test_z_integral_product_beyond_float_range():
     # 999 modes next to the pole at DP_MAX_UNITS units: the product
-    # prod_j (1 - r_j)^q_j at alpha = 0 underflows a double unless rescaled
+    # prod_j (1 - r_j) at alpha = 0 underflows a double unless rescaled
     inst = cent_instance(random.Random(5), 999, DP_MAX_UNITS)
     beta = 3e-5
     nu = saddle_nu(inst, beta)
     modes = mode_offsets(inst, beta)
     x0 = modes.x0(beta, nu)
     assert x0 < 1e-3
-    log_product = float(modes.q @ np.log(-np.expm1(-(beta * modes.d + x0))))
+    log_product = float(np.log(-np.expm1(-(beta * modes.d + x0))).sum())
     assert log_product < math.log(sys.float_info.min)
     zq = z_integral(inst, beta, nu)
     assert math.isfinite(zq.log)

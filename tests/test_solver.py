@@ -13,13 +13,12 @@ from bealloc import (
     ThermoParams,
     build_allocation,
     build_instance,
-    count_sum,
-    energy_sum,
     occupancy,
     predicted_cumulative,
     solve_params,
     solve_sigma,
 )
+from bealloc.solver import mode_offsets, occupancy_sums
 from conftest import decimal_string, random_instance
 
 LN2 = math.log(2.0)
@@ -45,9 +44,11 @@ def test_occupancy_pole_rejected():
 
 
 def test_sums_on_example():
-    inst = build_example()
-    assert count_sum(inst, 0.0, -LN2) == pytest.approx(2.0, abs=1e-12)
-    assert energy_sum(inst, 0.0, -LN2) == pytest.approx(8.0, abs=1e-12)
+    modes = mode_offsets(build_example(), 0.0)
+    sums = occupancy_sums(modes, 0.0, modes.x0(0.0, -LN2))
+    energy = sums.energy + float(modes.pole) * sums.count
+    assert sums.count == pytest.approx(2.0, abs=1e-12)
+    assert energy == pytest.approx(8.0, abs=1e-12)
 
 
 def test_solve_sigma_closed_form():
@@ -60,7 +61,9 @@ def test_solve_sigma_matches_count_at_random_beta():
         inst = random_instance(rng, s_max=12, n_max=12)
         beta = rng.uniform(-2.0, 3.0)
         sigma = solve_sigma(inst, beta)
-        assert count_sum(inst, beta, sigma) == pytest.approx(
+        modes = mode_offsets(inst, beta)
+        sums = occupancy_sums(modes, beta, modes.x0(beta, sigma))
+        assert sums.count == pytest.approx(
             inst.n, abs=1e-9 * max(1, inst.n)
         )
 
@@ -193,24 +196,14 @@ def test_predicted_cumulative_bounds_and_total():
     assert predicted_cumulative(inst, params, 3) == pytest.approx(2.0, abs=1e-9)
 
 
-def test_degenerate_modes_count_with_multiplicity():
-    # one mode at weight 5 with q=2 behaves like two identical modes
-    inst = build_instance(["1", "2", "3"], 0, 2, "8", degeneracies=[2, 1])
-    sigma = solve_sigma(inst, 0.0)
-    assert count_sum(inst, 0.0, sigma) == pytest.approx(2.0, abs=1e-9)
-    n5 = occupancy(0.0, sigma, 5.0)
-    n3 = occupancy(0.0, sigma, 3.0)
-    assert 2 * n5 + n3 == pytest.approx(2.0, abs=1e-9)
-
-
 def unit_loop_allocation(inst, params):
     """Reference allocation: per-mode occupancies and the unit-by-unit
     repair that rescans from the first mode on every move."""
     k = inst.bounds.min_shares
     phi = inst.bounds.budget
     occ = [
-        g * occupancy(params.beta, params.sigma, float(w))
-        for w, g in zip(inst.mode_weights, inst.degeneracies)
+        occupancy(params.beta, params.sigma, float(w))
+        for w in inst.mode_weights
     ]
     m = len(occ)
     parts = [math.floor(v) for v in occ]
