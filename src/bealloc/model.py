@@ -28,12 +28,14 @@ The Fraction attributes (`prices`, `values`, `mode_weights`, `budget`,
 from __future__ import annotations
 
 import math
+import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from typing import Iterable, Optional
+from itertools import accumulate, compress, count, repeat
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     BoundsInverted,
@@ -47,10 +49,17 @@ from .errors import (
 
 DEFAULT_SCALE = 10**6
 
-# Digits with an optional fraction part, or a bare fraction part: the plain
-# decimals read without a Fraction. [0-9] keeps underscores and the digits
-# of other scripts, which int() would also take, on the Fraction route.
-_PLAIN_DECIMAL = re.compile(r"([0-9]*)(?:\.([0-9]*))?")
+# One plain decimal: digits with an optional fraction part, or a bare
+# fraction part, read without a Fraction. [0-9] keeps underscores and the
+# digits of other scripts, which int() would also take, on the Fraction
+# route. A column of texts is joined by newlines, which no stripped plain
+# decimal holds, and one search finds its first line that is not plain. (A
+# match of the whole column as a repeated group would keep a backtracking
+# state per line.)
+_PLAIN = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+_PLAIN_DECIMAL = re.compile(_PLAIN)
+_NOT_PLAIN_LINE = re.compile(rf"^(?!{_PLAIN}$)", re.MULTILINE)
+_DIGITS = "0123456789"
 
 
 def format_scaled(numerator: int, scale: int) -> str:
@@ -59,6 +68,21 @@ def format_scaled(numerator: int, scale: int) -> str:
     if g == scale:
         return str(numerator // scale)
     return f"{numerator // g}/{scale // g}"
+
+
+def format_scaled_column(numerators: Sequence[int], scale: int) -> list[str]:
+    """format_scaled of every numerator, as one column.
+
+    The strings come from one %-format whose per-item format carries the
+    reduced denominator, so each distinct denominator is formatted once.
+    """
+    gcds = list(map(math.gcd, numerators, repeat(scale)))
+    dens = list(map(operator.floordiv, repeat(scale), gcds))
+    item = {d: "%d\n" if d == 1 else f"%d/{d}\n" for d in set(dens)}
+    text = "".join(map(item.__getitem__, dens)) % tuple(
+        map(operator.floordiv, numerators, gcds)
+    )
+    return text.split("\n")[:-1]
 
 
 def _scale_mismatch(text: str, scale: int, what: str) -> ScaleMismatch:
@@ -85,25 +109,83 @@ def parse_decimal(text: str, scale: int, what: str) -> Fraction:
 def parse_scaled(text: str, scale: int, what: str) -> int:
     """Parse a decimal (or rational) string into the integer value * scale.
 
-    A plain decimal (`12`, `12.5`, `.5`, `12.`, ASCII digits, surrounding
-    whitespace allowed) is read digit by digit. Every other form (signs,
-    exponents, `a/b`, underscores, non-ASCII digits) goes through
-    parse_decimal, with its errors. The value must be an integer multiple
-    of 1/scale, else ScaleMismatch.
+    The one-item case of parse_scaled_column, labelled `what`.
     """
-    plain = _PLAIN_DECIMAL.fullmatch(text.strip())
-    if plain is not None and (plain[1] or plain[2]):
-        frac = plain[2] or ""
+    return parse_scaled_column((text,), scale, lambda i: what)[0]
+
+
+def parse_scaled_column(
+    texts: Sequence[str], scale: int, label: Callable[[int], str]
+) -> list[int]:
+    """Parse decimal (or rational) strings into the integers value * scale.
+
+    A plain decimal (`12`, `12.5`, `.5`, `12.`, ASCII digits, surrounding
+    whitespace allowed) is read from its digits. The plain ones are read as
+    one column: one search checks the stripped texts joined by newlines,
+    one int() per text reads the digits without the dot, and one factor
+    per fraction length scales them. Every other form (signs, exponents,
+    `a/b`, underscores, non-ASCII digits, more digits than int() reads)
+    goes through parse_decimal, with its errors. Each value must be an
+    integer multiple of 1/scale, else ScaleMismatch. The first text, in
+    column order, that fails raises, labelled label(index).
+    """
+    items = list(map(str.strip, texts))
+    joined = "\n".join(items)
+    one_per_line = joined.count("\n") == len(items) - 1
+    if one_per_line and not _NOT_PLAIN_LINE.search(joined):
         try:
-            digits = int(plain[1] + frac)
-        except ValueError:
-            pass  # beyond int()'s digit limit: the Fraction route decides
+            values, bad = _read_plain(items, scale)
+        except ValueError:  # beyond int()'s digit limit
+            pass
         else:
-            value, rest = divmod(digits * scale, 10 ** len(frac))
-            if rest:
-                raise _scale_mismatch(text, scale, what)
-            return value
-    return int(parse_decimal(text, scale, what) * scale)
+            if bad is not None:
+                raise _scale_mismatch(texts[bad], scale, label(bad))
+            return values
+    plain = list(map(bool, map(_PLAIN_DECIMAL.fullmatch, items)))
+    # 0: no limit (Python 3.10 before 3.10.7); a longer text is left to the
+    # Fraction route, which reads it or fails as parse_decimal does
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        short = map(limit.__ge__, map(len, items))
+        plain = list(map(operator.and_, plain, short))
+    where = list(compress(range(len(items)), plain))
+    values, bad = _read_plain(list(compress(items, plain)), scale)
+    stop = len(texts) if bad is None else where[bad]
+    for i in compress(range(stop), map(operator.not_, plain)):
+        values.insert(i, int(parse_decimal(texts[i], scale, label(i)) * scale))
+    if bad is not None:
+        raise _scale_mismatch(texts[stop], scale, label(stop))
+    return values
+
+
+def _read_plain(
+    items: list[str], scale: int
+) -> tuple[list[int], Optional[int]]:
+    """value * scale of stripped plain decimals, and the index of the first
+    one that is not a multiple of 1/scale (None if there is none).
+
+    An item with f fraction digits is d / 10^f for its digits d, so
+    value * scale = (d / den) * mult with den = 10^f / g, mult = scale / g
+    and g = gcd(10^f, scale): exact when den divides d. The digits are
+    streamed into the products, so no column of them is kept.
+    """
+    # 0 for an item without a dot, else 1 + its fraction length
+    keys = list(map(len, map(str.lstrip, items, repeat(_DIGITS))))
+    digits: Iterable[int] = map(
+        int, map(str.replace, items, repeat("."), repeat(""))
+    )
+    den, mult = {}, {}
+    for key in set(keys):
+        ten = 10 ** max(key - 1, 0)
+        g = math.gcd(ten, scale)
+        den[key], mult[key] = ten // g, scale // g
+    bad = None
+    if max(den.values(), default=1) > 1:
+        digits = list(digits)
+        dens = list(map(den.__getitem__, keys))
+        bad = next(compress(count(), map(operator.mod, digits, dens)), None)
+        digits = list(map(operator.floordiv, digits, dens))
+    return list(map(operator.mul, digits, map(mult.__getitem__, keys))), bad
 
 
 @dataclass(frozen=True)
@@ -319,10 +401,7 @@ def build_instance(
     if not prices:
         raise EmptyPrices("price schedule is empty")
     schedule = PriceSchedule(
-        tuple(
-            parse_scaled(p, scale, f"price {i + 1}")
-            for i, p in enumerate(prices)
-        ),
+        tuple(parse_scaled_column(prices, scale, lambda i: f"price {i + 1}")),
         scale,
     )
     phi = (

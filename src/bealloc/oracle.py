@@ -135,6 +135,13 @@ def check_cap(instance: ProblemInstance, cap: int) -> None:
         )
 
 
+def check_index(instance: ProblemInstance, l: int) -> None:
+    """Raise IndexRange unless the cumulative index l lies in 2..s."""
+    s = instance.size
+    if l < 2 or l > s:
+        raise IndexRange(f"l = {l} outside 2..{s}")
+
+
 def iter_compositions(
     instance: ProblemInstance, cap: int = DEFAULT_CAP
 ) -> Iterator[Composition]:
@@ -289,9 +296,7 @@ def cumulative_stats(
     and all are nonnegative, so no sum of packed values ever carries
     between digits, whatever cap admits.
     """
-    s = instance.size
-    if l < 2 or l > s:
-        raise IndexRange(f"l = {l} outside 2..{s}")
+    check_index(instance, l)
     delta = deviation_band(instance.n, epsilon)
     check_cap(instance, cap)
     lams = instance.mode_weights_scaled()

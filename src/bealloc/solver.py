@@ -38,8 +38,10 @@ its cheaper neighbour, a whole stack at a time.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -140,7 +142,7 @@ def mode_offsets(instance: ProblemInstance, beta: float) -> ModeOffsets:
     beta < 0, else lambda_s), so that x_j >= x0 on every mode."""
     scaled = instance.mode_weights_scaled()
     p = 0 if beta < 0 else len(scaled) - 1
-    d = np.array([w - scaled[p] for w in scaled], dtype=float)
+    d = np.array(list(map(operator.sub, scaled, repeat(scaled[p]))), float)
     return ModeOffsets(d / instance.scale, Fraction(scaled[p], instance.scale))
 
 
@@ -302,6 +304,30 @@ def predicted_cumulative(
     return float(occ[: l - 1].sum())
 
 
+def largest_remainder(occ: np.ndarray, n: int) -> list[int]:
+    """Apportion n units over the occupancies by largest remainder.
+
+    Every mode gets the floor of its occupancy, and the units still missing
+    go one each to the largest fractional parts, ties toward the larger
+    mode index.
+    """
+    values = occ.tolist()
+    parts = list(map(math.floor, values))
+    missing = n - sum(parts)
+    if missing < 0 or missing > len(parts):
+        raise RepairFailed(
+            f"occupancies sum to {sum(values):.6f}, cannot apportion {n}"
+        )
+    # ascending floor - occupancy is descending fractional part, and the
+    # stable sort of the reversed indices breaks its ties toward the larger
+    # index (a C-level key; numpy's sorts would fault in their code pages)
+    keys = list(map(operator.sub, parts, values))
+    order = sorted(reversed(range(len(parts))), key=keys.__getitem__)
+    for j in order[:missing]:
+        parts[j] += 1
+    return parts
+
+
 def build_allocation(
     instance: ProblemInstance, params: ThermoParams
 ) -> Allocation:
@@ -333,22 +359,12 @@ def build_allocation(
     lam_scaled = instance.mode_weights_scaled()
     modes = mode_offsets(instance, params.beta)
     x0 = modes.x0(params.beta, params.sigma)
-    occ = mode_occupancies(modes, params.beta, x0).tolist()
-    m = len(occ)
-    parts = [math.floor(v) for v in occ]
-    missing = instance.n - sum(parts)
-    if missing < 0 or missing > m:
-        raise RepairFailed(
-            f"occupancies sum to {sum(occ):.6f}, cannot apportion {instance.n}"
-        )
-    order = sorted(range(m), key=lambda j: (parts[j] - occ[j], -j))
-    for j in order[:missing]:
-        parts[j] += 1
+    occ = mode_occupancies(modes, params.beta, x0)
+    parts = largest_remainder(occ, instance.n)
+    m = len(parts)
 
     prices_scaled = instance.schedule.numerators
-    spend_scaled = k * lam1_scaled + sum(
-        p * w for p, w in zip(parts, lam_scaled)
-    )
+    spend_scaled = k * lam1_scaled + sum(map(operator.mul, parts, lam_scaled))
     shift = 0
     j = 0  # leftmost occupied mode; modes left of it stay empty
     while spend_scaled > phi_scaled:
@@ -368,13 +384,11 @@ def build_allocation(
         spend_scaled -= moved * price
         shift += moved
 
-    counts = [k]
-    for p in parts:
-        counts.append(counts[-1] + p)
+    counts = tuple(accumulate(parts, initial=k))
     assert counts[-1] == instance.bounds.max_shares
     return Allocation(
-        occupancies=tuple(occ),
-        counts=tuple(counts),
+        occupancies=tuple(occ.tolist()),
+        counts=counts,
         spend=Fraction(spend_scaled, scale),
         budget_residual=Fraction(phi_scaled - spend_scaled, scale),
         rounding_shift=shift,

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: reports, determinism, exit codes."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -142,6 +143,43 @@ def test_enumerate_boundary_skips_ensemble(capsys, prices_file):
     assert report["total_count"] == "3"
     assert "deviation_fraction" not in report
     assert "skipping ensemble statistics" in err
+
+
+def test_enumerate_does_not_sample_an_empty_set(capsys, tmp_path,
+                                                monkeypatch):
+    # the one composition costs K*lambda_1 + n*lambda_2 = 5.63 + 7 * 3.83
+    # = 32.44 > 32.06, so |M| = 0
+    def fail(*_args, **_kwargs):
+        pytest.fail("the sampler ran on an empty configuration set")
+
+    monkeypatch.setattr(oracle, "sample_uniform", fail)
+    path = tmp_path / "p.csv"
+    path.write_text("1.80\n3.83\n")
+    code, out, err = run(
+        capsys,
+        ["enumerate", "--prices", str(path), "--min-shares", "1",
+         "--max-shares", "8", "--budget", "32.06", "--samples", "300"],
+    )
+    assert (code, out, err) == (2, "", "error: configuration set is empty\n")
+
+
+@pytest.mark.parametrize("l", ["1", "4"])
+@pytest.mark.parametrize("budget", ["8", "12"])
+def test_enumerate_checks_l_before_the_fit(capsys, prices_file, monkeypatch,
+                                          budget, l):
+    # budget 12 is a boundary one: the fit is skipped there, and with it
+    # the check cumulative_stats makes
+    def fail(*_args, **_kwargs):
+        pytest.fail("work done before the --l check")
+
+    monkeypatch.setattr(oracle, "check_cap", fail)
+    monkeypatch.setattr(solver, "solve_params", fail)
+    code, out, err = run(
+        capsys,
+        ["enumerate", "--prices", prices_file, "--min-shares", "0",
+         "--max-shares", "2", "--budget", budget, "--l", l],
+    )
+    assert (code, out, err) == (4, "", f"error: l = {l} outside 2..3\n")
 
 
 def test_verify_report_frozen_counts(capsys):
@@ -764,6 +802,40 @@ def test_report_bytes_match_the_pinned_fixture(capsys, tmp_path, name):
     code, out, err = run(capsys, report_argv(tmp_path, name))
     assert (code, err) == (0, "")
     assert out == REPORT_BYTES[name]
+
+
+def wide_prices(s):
+    """s prices with 0 to 4 decimals, from a fixed integer sequence."""
+    prices = []
+    for i in range(s):
+        digits = i % 5
+        units = (i * 7919 + 104729) ** 2 % 10 ** (digits + 2) + 1
+        whole, frac = divmod(units, 10**digits)
+        prices.append(f"{whole}.{frac:0{digits}d}" if digits else str(whole))
+    return prices
+
+
+# sha256 of the stdout of one wide solve (s = 2000, mixed decimals, budget at
+# 95 % of the energy range), recorded before the price parse, the rounding
+# and the report columns became whole-column passes.
+WIDE_SOLVE_SHA256 = (
+    "4a7333e5c82e3ef29d962cc6db6d37c3ba1e14196987fdb43704626488d41098"
+)
+
+
+def test_wide_solve_report_matches_its_pinned_digest(capsys, tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("".join(f"{p}\n" for p in wide_prices(2000)))
+    code, out, err = run(
+        capsys,
+        ["solve", "--prices", str(path), "--min-shares", "3",
+         "--max-shares", "103", "--budget", "9758289.3705"],
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert len(report["counts"]) == 2000
+    assert report["rounding_shift"] == 5162
+    assert hashlib.sha256(out.encode()).hexdigest() == WIDE_SOLVE_SHA256
 
 
 ENCODER_CASES = {

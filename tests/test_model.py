@@ -2,6 +2,7 @@
 
 import inspect
 import random
+import sys
 from fractions import Fraction
 from itertools import accumulate
 
@@ -25,7 +26,11 @@ from bealloc import (
     parse_decimal,
     solve_params,
 )
-from bealloc.model import parse_scaled
+from bealloc.model import (
+    format_scaled_column,
+    parse_scaled,
+    parse_scaled_column,
+)
 from conftest import random_instance
 
 
@@ -99,6 +104,138 @@ def test_parse_scaled_matches_fraction_reference():
         parse_scaled("0.5", 3, "x")
     with pytest.raises(InputError, match="could not parse"):
         parse_scaled("\u00b2", 10**6, "x")
+
+
+def price_label(i):
+    return f"price {i + 1}"
+
+
+def column_outcome(texts, scale):
+    try:
+        return parse_scaled_column(texts, scale, price_label)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+def itemwise_outcome(parse, texts, scale):
+    """parse on each text in order; the first failure is the outcome."""
+    try:
+        return [parse(t, scale, price_label(i)) for i, t in enumerate(texts)]
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+def random_plain(rng):
+    """A plain decimal with 0-8 fraction digits, in one of its spellings."""
+    whole, frac = rng.randint(0, 10**4), rng.randint(0, 10**8)
+    digits = rng.randint(0, 8)
+    frac_text = str(frac).zfill(8)[:digits]
+    text = rng.choice([
+        f"{whole}.{frac_text}" if digits else str(whole),
+        f".{frac_text}" if digits else f"{whole}.",
+        f"{whole:03d}.{frac_text}",
+    ])
+    return rng.choice(["", " ", "\t"]) + text + rng.choice(["", " ", "\n"])
+
+
+def assert_column_matches_itemwise(texts, scale):
+    expected = itemwise_outcome(reference_parse, texts, scale)
+    assert itemwise_outcome(parse_scaled, texts, scale) == expected
+    assert column_outcome(texts, scale) == expected, (texts, scale)
+
+
+SCALES = (10**6, 1000, 100, 7, 3, 0, -5)
+
+
+def test_parse_scaled_column_matches_itemwise_on_random_lists():
+    rng = random.Random(41)
+    for _ in range(300):
+        texts = [random_plain(rng) for _ in range(rng.randint(1, 30))]
+        if rng.random() < 0.7:  # one other form at a random position
+            texts.insert(rng.randint(0, len(texts)), rng.choice(PARSE_CORPUS))
+        for scale in SCALES:
+            assert_column_matches_itemwise(texts, scale)
+
+
+@pytest.mark.parametrize("odd", [
+    "1,2", "1\n2", " 1\n2 ", "1\r\n2", "\n", "1\u20282"])
+def test_parse_scaled_column_keeps_a_separator_inside_one_price(odd):
+    # the column is joined by newlines: a price holding one stays one
+    # price, and fails as itself
+    texts = ["1.5", odd, "2"]
+    assert_column_matches_itemwise(texts, 10**6)
+    with pytest.raises(InputError, match=r"could not parse price 2 "):
+        parse_scaled_column(texts, 10**6, price_label)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python's int() has no digit limit")
+def test_parse_scaled_column_at_the_int_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert limit > 0
+    for texts in (
+        ["1", "9" * limit, "2.5"],                # at the limit: read
+        ["1", "9" * (limit - 1) + ".5", "2.5"],
+        ["1", "9" * (limit + 1), "2.5"],          # past it: could not parse
+        ["1", "1." + "0" * limit, "2"],
+        ["1", "0.0000001", "9" * (limit + 1)],    # the mismatch comes first
+    ):
+        for scale in (10**6, 10):
+            assert_column_matches_itemwise(texts, scale)
+    assert parse_scaled_column(["9" * limit], 1, price_label) == [
+        int("9" * limit)
+    ]
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # no limit: every digit string is read
+    try:
+        texts = ["1", "9" * (limit + 1), "2.5"]
+        assert_column_matches_itemwise(texts, 10)
+        assert column_outcome(texts, 10)[1] == int("9" * (limit + 1)) * 10
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.parametrize("texts, error, message", [
+    # a plain ScaleMismatch before an unparseable price
+    (["1", " 0.0000001", "xyz"], ScaleMismatch,
+     "price 2 ' 0.0000001' is not a multiple of 1/1000000; "
+     "raise --scale or round the input"),
+    # an unparseable price before a plain ScaleMismatch
+    (["1", "xyz ", "0.0000001"], InputError, "could not parse price 2 'xyz '"),
+    # a non-plain ScaleMismatch before a plain one, and after
+    (["1", "1e-7", "0.0000001"], ScaleMismatch,
+     "price 2 '1e-7' is not a multiple of 1/1000000; "
+     "raise --scale or round the input"),
+    (["1", "0.0000001", "1e-7"], ScaleMismatch,
+     "price 2 '0.0000001' is not a multiple of 1/1000000; "
+     "raise --scale or round the input"),
+    (["3/4", "+1.5", "1_0", "0.0000001\t"], ScaleMismatch,
+     "price 4 '0.0000001\\t' is not a multiple of 1/1000000; "
+     "raise --scale or round the input"),
+])
+def test_parse_scaled_column_raises_at_the_first_failing_price(
+    texts, error, message
+):
+    assert_column_matches_itemwise(texts, 10**6)
+    with pytest.raises(InputError) as info:
+        parse_scaled_column(texts, 10**6, price_label)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_format_scaled_column_matches_fraction_strings():
+    rng = random.Random(59)
+    for scale in (1, 7, 100, 10**6, 2**64, 10**30):
+        for _ in range(100):
+            nums = [
+                rng.choice([
+                    0, rng.randint(-10**4, 10**4), scale * rng.randint(-5, 5),
+                    rng.randint(-(2**70), 2**70), rng.randint(1, 10**6) * 10**4,
+                ])
+                for _ in range(rng.randint(0, 40))
+            ]
+            assert format_scaled_column(nums, scale) == [
+                str(Fraction(v, scale)) for v in nums
+            ], (nums, scale)
 
 
 def test_build_instance_reads_a_one_shot_iterable():

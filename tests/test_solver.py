@@ -4,12 +4,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bealloc import (
     DegenerateBoundary,
     DomainError,
     IndexRange,
+    RepairFailed,
     ThermoParams,
     build_allocation,
     build_instance,
@@ -18,7 +20,7 @@ from bealloc import (
     solve_params,
     solve_sigma,
 )
-from bealloc.solver import mode_offsets, occupancy_sums
+from bealloc.solver import largest_remainder, mode_offsets, occupancy_sums
 from conftest import decimal_string, random_instance
 
 LN2 = math.log(2.0)
@@ -261,3 +263,37 @@ def test_stack_repair_matches_unit_loop_large_s():
     budget = Fraction(low + (high - low) // 4, 100)
     inst = build_instance(prices, 0, n, decimal_string(budget))
     assert assert_matches_unit_loop(inst) >= 10_000
+
+
+def sorted_apportionment(occ, n):
+    """Largest remainder as build_allocation wrote it with sorted()."""
+    parts = [math.floor(v) for v in occ]
+    order = sorted(range(len(occ)), key=lambda j: (parts[j] - occ[j], -j))
+    for j in order[: n - sum(parts)]:
+        parts[j] += 1
+    return parts
+
+
+def test_largest_remainder_matches_sorted_order_on_ties():
+    rng = random.Random(2718)
+    for _ in range(400):
+        m = rng.randint(1, 60)
+        # few distinct fractional parts, so most of them tie exactly
+        fracs = rng.sample([0.0, 0.125, 0.25, 0.5, 0.75, 0.1, 1 / 3],
+                           rng.randint(1, 3))
+        occ = [rng.randint(0, 4) + rng.choice(fracs) for _ in range(m)]
+        floor_sum = sum(math.floor(v) for v in occ)
+        n = floor_sum + rng.randint(0, m)
+        got = largest_remainder(np.array(occ), n)
+        assert got == sorted_apportionment(occ, n), (occ, n)
+        assert sum(got) == n
+    # ties go to the larger mode index
+    assert largest_remainder(np.array([0.5, 0.5, 0.5, 0.25]), 2) == [
+        0, 1, 1, 0]
+
+
+def test_largest_remainder_rejects_an_unreachable_total():
+    with pytest.raises(RepairFailed, match="cannot apportion 5"):
+        largest_remainder(np.array([0.5, 0.5]), 5)
+    with pytest.raises(RepairFailed, match="cannot apportion 0"):
+        largest_remainder(np.array([1.5, 0.5]), 0)
