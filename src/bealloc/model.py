@@ -53,12 +53,12 @@ DEFAULT_SCALE = 10**6
 # fraction part, read without a Fraction. [0-9] keeps underscores and the
 # digits of other scripts, which int() would also take, on the Fraction
 # route. A column of texts is joined by newlines, which no stripped plain
-# decimal holds, and one search finds its first line that is not plain. (A
-# match of the whole column as a repeated group would keep a backtracking
-# state per line.)
+# decimal holds, and one search finds its first line that is not plain
+# (re compiles it on first use). A match of the whole column as a repeated
+# group would keep a backtracking state per line.
 _PLAIN = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
 _PLAIN_DECIMAL = re.compile(_PLAIN)
-_NOT_PLAIN_LINE = re.compile(rf"^(?!{_PLAIN}$)", re.MULTILINE)
+_NOT_PLAIN_LINE = rf"(?m)^(?!{_PLAIN}$)"
 _DIGITS = "0123456789"
 
 
@@ -132,7 +132,7 @@ def parse_scaled_column(
     items = list(map(str.strip, texts))
     joined = "\n".join(items)
     one_per_line = joined.count("\n") == len(items) - 1
-    if one_per_line and not _NOT_PLAIN_LINE.search(joined):
+    if one_per_line and not re.search(_NOT_PLAIN_LINE, joined):
         try:
             values, bad = _read_plain(items, scale)
         except ValueError:  # beyond int()'s digit limit
