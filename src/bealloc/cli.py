@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .model import (  # noqa: F401  (perfbench wraps cli.parse_decimal)
     ProblemInstance,
     build_instance,
     format_scaled,
-    format_scaled_column,
     parse_decimal,
 )
 
@@ -111,12 +110,12 @@ def read_prices(path: str) -> list[str]:
 def _instance_doc(inst: ProblemInstance) -> dict:
     scale = inst.scale
     return {
-        "prices": format_scaled_column(inst.schedule.numerators, scale),
+        "prices": [format_scaled(v, scale) for v in inst.schedule.numerators],
         "scale": scale,
         "k": inst.bounds.min_shares,
         "m": inst.bounds.max_shares,
         "budget": format_scaled(inst.bounds.budget_numerator, scale),
-        "lambda": format_scaled_column(inst.weights.numerators, scale),
+        "lambda": [format_scaled(v, scale) for v in inst.weights.numerators],
         "n": inst.n,
         "e": format_scaled(inst.effective_budget_scaled(), scale),
     }
@@ -448,56 +447,46 @@ _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 def _dumps(obj: object) -> str:
     """json.dumps(obj, sort_keys=True, indent=2), byte for byte.
 
-    indent= runs CPython's pure-Python encoder. Here each container goes to
-    the C encoder in one call instead: a flat one whole, with the item
-    separator the pure encoder writes (a comma, a newline and the indent),
-    and the scalars of any other one together, split at the newlines that
-    no scalar's JSON holds. Dict keys must be strings.
+    indent= runs CPython's pure-Python encoder. A flat list of scalars, the
+    bulk of a report, instead goes to the C encoder in one call, with the
+    item separator the pure encoder writes: a comma, a newline and the
+    indent. Dict keys must be strings.
     """
     parts: list[str] = []
     _encode(obj, "\n", parts)
     return "".join(parts)
 
 
-@functools.cache
-def _flat_encoder(separator: str) -> Callable[[object], str]:
-    """json.dumps(obj, sort_keys=True) with this item separator; the
-    encoder is built once."""
-    return json.JSONEncoder(sort_keys=True, separators=(separator, ": ")).encode
-
-
 def _encode(obj: object, newline: str, parts: list[str]) -> None:
     """Append obj's indented JSON to parts; newline ends obj's first line."""
     if isinstance(obj, dict):
-        keys: Optional[list[str]] = sorted(obj)
-        values = list(map(obj.__getitem__, keys))
-        brackets = "{}"
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
+            _encode(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
     elif isinstance(obj, (list, tuple)):
-        keys, values, brackets = None, obj, "[]"
-    else:
-        parts.append(json.dumps(obj))
-        return
-    if not values:
-        parts.append(brackets)
-        return
-    inner = newline + "  "
-    if set(map(type, values)) <= _SCALAR_TYPES:
-        body = _flat_encoder("," + inner)(obj)[1:-1]
-        parts.append(brackets[0] + inner + body + newline + brackets[1])
-        return
-    flat = [v for v in values if type(v) in _SCALAR_TYPES]
-    scalars = iter(_flat_encoder("\n")(flat)[1:-1].split("\n"))
-    sep = brackets[0] + inner
-    for i, value in enumerate(values):
-        if keys is not None:
-            sep += encode_basestring_ascii(keys[i]) + ": "
-        if type(value) in _SCALAR_TYPES:
-            parts.append(sep + next(scalars))
-        else:
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, obj)) <= _SCALAR_TYPES:
+            body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
+            parts.append("[" + inner + body + newline + "]")
+            return
+        sep = "[" + inner
+        for value in obj:
             parts.append(sep)
             _encode(value, inner, parts)
-        sep = "," + inner
-    parts.append(newline + brackets[1])
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        parts.append(json.dumps(obj))
 
 
 def main(argv: Optional[list[str]] = None) -> int:

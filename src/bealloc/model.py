@@ -34,7 +34,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -52,13 +52,8 @@ DEFAULT_SCALE = 10**6
 # One plain decimal: digits with an optional fraction part, or a bare
 # fraction part, read without a Fraction. [0-9] keeps underscores and the
 # digits of other scripts, which int() would also take, on the Fraction
-# route. A column of texts is joined by newlines, which no stripped plain
-# decimal holds, and one search finds its first line that is not plain
-# (re compiles it on first use). A match of the whole column as a repeated
-# group would keep a backtracking state per line.
-_PLAIN = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
-_PLAIN_DECIMAL = re.compile(_PLAIN)
-_NOT_PLAIN_LINE = rf"(?m)^(?!{_PLAIN}$)"
+# route.
+_PLAIN_DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]*)?|\.[0-9]+")
 _DIGITS = "0123456789"
 
 
@@ -68,21 +63,6 @@ def format_scaled(numerator: int, scale: int) -> str:
     if g == scale:
         return str(numerator // scale)
     return f"{numerator // g}/{scale // g}"
-
-
-def format_scaled_column(numerators: Sequence[int], scale: int) -> list[str]:
-    """format_scaled of every numerator, as one column.
-
-    The strings come from one %-format whose per-item format carries the
-    reduced denominator, so each distinct denominator is formatted once.
-    """
-    gcds = list(map(math.gcd, numerators, repeat(scale)))
-    dens = list(map(operator.floordiv, repeat(scale), gcds))
-    item = {d: "%d\n" if d == 1 else f"%d/{d}\n" for d in set(dens)}
-    text = "".join(map(item.__getitem__, dens)) % tuple(
-        map(operator.floordiv, numerators, gcds)
-    )
-    return text.split("\n")[:-1]
 
 
 def _scale_mismatch(text: str, scale: int, what: str) -> ScaleMismatch:
@@ -120,27 +100,16 @@ def parse_scaled_column(
     """Parse decimal (or rational) strings into the integers value * scale.
 
     A plain decimal (`12`, `12.5`, `.5`, `12.`, ASCII digits, surrounding
-    whitespace allowed) is read from its digits. The plain ones are read as
-    one column: one search checks the stripped texts joined by newlines,
-    one int() per text reads the digits without the dot, and one factor
-    per fraction length scales them. Every other form (signs, exponents,
-    `a/b`, underscores, non-ASCII digits, more digits than int() reads)
-    goes through parse_decimal, with its errors. Each value must be an
-    integer multiple of 1/scale, else ScaleMismatch. The first text, in
-    column order, that fails raises, labelled label(index).
+    whitespace allowed) is read from its digits, as one column: one
+    fullmatch per text picks the plain ones, one int() per text reads the
+    digits without the dot, and one factor per fraction length scales them.
+    Every other form (signs, exponents, `a/b`, underscores, non-ASCII
+    digits, more digits than int() reads) goes through parse_decimal, with
+    its errors. Each value must be an integer multiple of 1/scale, else
+    ScaleMismatch. The first text, in column order, that fails raises,
+    labelled label(index).
     """
     items = list(map(str.strip, texts))
-    joined = "\n".join(items)
-    one_per_line = joined.count("\n") == len(items) - 1
-    if one_per_line and not re.search(_NOT_PLAIN_LINE, joined):
-        try:
-            values, bad = _read_plain(items, scale)
-        except ValueError:  # beyond int()'s digit limit
-            pass
-        else:
-            if bad is not None:
-                raise _scale_mismatch(texts[bad], scale, label(bad))
-            return values
     plain = list(map(bool, map(_PLAIN_DECIMAL.fullmatch, items)))
     # 0: no limit (Python 3.10 before 3.10.7); a longer text is left to the
     # Fraction route, which reads it or fails as parse_decimal does
@@ -148,9 +117,11 @@ def parse_scaled_column(
     if limit:
         short = map(limit.__ge__, map(len, items))
         plain = list(map(operator.and_, plain, short))
-    where = list(compress(range(len(items)), plain))
     values, bad = _read_plain(list(compress(items, plain)), scale)
-    stop = len(texts) if bad is None else where[bad]
+    if bad is None:
+        stop = len(texts)
+    else:  # the index of the bad-th plain text
+        stop = next(islice(compress(count(), plain), bad, None))
     for i in compress(range(stop), map(operator.not_, plain)):
         values.insert(i, int(parse_decimal(texts[i], scale, label(i)) * scale))
     if bad is not None:
@@ -167,7 +138,8 @@ def _read_plain(
     An item with f fraction digits is d / 10^f for its digits d, so
     value * scale = (d / den) * mult with den = 10^f / g, mult = scale / g
     and g = gcd(10^f, scale): exact when den divides d. The digits are
-    streamed into the products, so no column of them is kept.
+    streamed into the products; they are kept as a column only when some
+    den > 1, to find the first one that den does not divide.
     """
     # 0 for an item without a dot, else 1 + its fraction length
     keys = list(map(len, map(str.lstrip, items, repeat(_DIGITS))))
@@ -182,9 +154,9 @@ def _read_plain(
     bad = None
     if max(den.values(), default=1) > 1:
         digits = list(digits)
-        dens = list(map(den.__getitem__, keys))
-        bad = next(compress(count(), map(operator.mod, digits, dens)), None)
-        digits = list(map(operator.floordiv, digits, dens))
+        rests = map(operator.mod, digits, map(den.__getitem__, keys))
+        bad = next(compress(count(), rests), None)
+        digits = map(operator.floordiv, digits, map(den.__getitem__, keys))
     return list(map(operator.mul, digits, map(mult.__getitem__, keys))), bad
 
 

@@ -27,7 +27,7 @@ from bealloc import (
     solve_params,
 )
 from bealloc.model import (
-    format_scaled_column,
+    format_scaled,
     parse_scaled,
     parse_scaled_column,
 )
@@ -160,8 +160,8 @@ def test_parse_scaled_column_matches_itemwise_on_random_lists():
 @pytest.mark.parametrize("odd", [
     "1,2", "1\n2", " 1\n2 ", "1\r\n2", "\n", "1\u20282"])
 def test_parse_scaled_column_keeps_a_separator_inside_one_price(odd):
-    # the column is joined by newlines: a price holding one stays one
-    # price, and fails as itself
+    # a price holding a line break or a comma stays one price, and fails
+    # as itself
     texts = ["1.5", odd, "2"]
     assert_column_matches_itemwise(texts, 10**6)
     with pytest.raises(InputError, match=r"could not parse price 2 "):
@@ -222,7 +222,7 @@ def test_parse_scaled_column_raises_at_the_first_failing_price(
     assert (type(info.value), str(info.value)) == (error, message)
 
 
-def test_format_scaled_column_matches_fraction_strings():
+def test_format_scaled_matches_fraction_strings():
     rng = random.Random(59)
     for scale in (1, 7, 100, 10**6, 2**64, 10**30):
         for _ in range(100):
@@ -233,7 +233,7 @@ def test_format_scaled_column_matches_fraction_strings():
                 ])
                 for _ in range(rng.randint(0, 40))
             ]
-            assert format_scaled_column(nums, scale) == [
+            assert [format_scaled(v, scale) for v in nums] == [
                 str(Fraction(v, scale)) for v in nums
             ], (nums, scale)
 
