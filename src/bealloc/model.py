@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,11 +48,6 @@ from .errors import (
 
 DEFAULT_SCALE = 10**6
 
-# One plain decimal: digits with an optional fraction part, or a bare
-# fraction part, read without a Fraction. [0-9] keeps underscores and the
-# digits of other scripts, which int() would also take, on the Fraction
-# route.
-_PLAIN_DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]*)?|\.[0-9]+")
 _DIGITS = "0123456789"
 
 
@@ -100,24 +94,28 @@ def parse_scaled_column(
     """Parse decimal (or rational) strings into the integers value * scale.
 
     A plain decimal (`12`, `12.5`, `.5`, `12.`, ASCII digits, surrounding
-    whitespace allowed) is read from its digits, as one column: one
-    fullmatch per text picks the plain ones, one int() per text reads the
-    digits without the dot, and one factor per fraction length scales them.
-    Every other form (signs, exponents, `a/b`, underscores, non-ASCII
-    digits, more digits than int() reads) goes through parse_decimal, with
-    its errors. Each value must be an integer multiple of 1/scale, else
-    ScaleMismatch. The first text, in column order, that fails raises,
-    labelled label(index).
+    whitespace allowed) is read from its digits, as one column: a text is
+    plain when it is ASCII and all digits once its first dot is dropped,
+    one int() per text reads those digits, and one factor per fraction
+    length scales them. Every other form (signs, exponents, `a/b`,
+    underscores, non-ASCII digits, more digits than int() reads) goes
+    through parse_decimal, with its errors. Each value must be an integer
+    multiple of 1/scale, else ScaleMismatch. The first text, in column
+    order, that fails raises, labelled label(index).
     """
     items = list(map(str.strip, texts))
-    plain = list(map(bool, map(_PLAIN_DECIMAL.fullmatch, items)))
-    # 0: no limit (Python 3.10 before 3.10.7); a longer text is left to the
-    # Fraction route, which reads it or fails as parse_decimal does
+    digits = list(map(str.replace, items, repeat("."), repeat(""), repeat(1)))
+    plain = list(map(operator.and_, map(str.isascii, items),
+                     map(str.isdigit, digits)))
+    # 0: no limit (Python 3.10 before 3.10.7); longer digits are left to
+    # the Fraction route, which reads them or fails as parse_decimal does
     limit = getattr(sys, "get_int_max_str_digits", int)()
     if limit:
-        short = map(limit.__ge__, map(len, items))
+        short = map(limit.__ge__, map(len, digits))
         plain = list(map(operator.and_, plain, short))
-    values, bad = _read_plain(list(compress(items, plain)), scale)
+    values, bad = _read_plain(
+        list(compress(items, plain)), list(compress(digits, plain)), scale
+    )
     if bad is None:
         stop = len(texts)
     else:  # the index of the bad-th plain text
@@ -130,10 +128,11 @@ def parse_scaled_column(
 
 
 def _read_plain(
-    items: list[str], scale: int
+    items: list[str], digits: list[str], scale: int
 ) -> tuple[list[int], Optional[int]]:
-    """value * scale of stripped plain decimals, and the index of the first
-    one that is not a multiple of 1/scale (None if there is none).
+    """value * scale of stripped plain decimals, given each one's digits
+    without the dot, and the index of the first one that is not a
+    multiple of 1/scale (None if there is none).
 
     An item with f fraction digits is d / 10^f for its digits d, so
     value * scale = (d / den) * mult with den = 10^f / g, mult = scale / g
@@ -143,9 +142,7 @@ def _read_plain(
     """
     # 0 for an item without a dot, else 1 + its fraction length
     keys = list(map(len, map(str.lstrip, items, repeat(_DIGITS))))
-    digits: Iterable[int] = map(
-        int, map(str.replace, items, repeat("."), repeat(""))
-    )
+    numbers: Iterable[int] = map(int, digits)
     den, mult = {}, {}
     for key in set(keys):
         ten = 10 ** max(key - 1, 0)
@@ -153,11 +150,11 @@ def _read_plain(
         den[key], mult[key] = ten // g, scale // g
     bad = None
     if max(den.values(), default=1) > 1:
-        digits = list(digits)
-        rests = map(operator.mod, digits, map(den.__getitem__, keys))
+        numbers = list(numbers)
+        rests = map(operator.mod, numbers, map(den.__getitem__, keys))
         bad = next(compress(count(), rests), None)
-        digits = map(operator.floordiv, digits, map(den.__getitem__, keys))
-    return list(map(operator.mul, digits, map(mult.__getitem__, keys))), bad
+        numbers = map(operator.floordiv, numbers, map(den.__getitem__, keys))
+    return list(map(operator.mul, numbers, map(mult.__getitem__, keys))), bad
 
 
 @dataclass(frozen=True)

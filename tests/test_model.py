@@ -26,11 +26,7 @@ from bealloc import (
     parse_decimal,
     solve_params,
 )
-from bealloc.model import (
-    format_scaled,
-    parse_scaled,
-    parse_scaled_column,
-)
+from bealloc.model import parse_scaled, parse_scaled_column
 from conftest import random_instance
 
 
@@ -220,22 +216,6 @@ def test_parse_scaled_column_raises_at_the_first_failing_price(
     with pytest.raises(InputError) as info:
         parse_scaled_column(texts, 10**6, price_label)
     assert (type(info.value), str(info.value)) == (error, message)
-
-
-def test_format_scaled_matches_fraction_strings():
-    rng = random.Random(59)
-    for scale in (1, 7, 100, 10**6, 2**64, 10**30):
-        for _ in range(100):
-            nums = [
-                rng.choice([
-                    0, rng.randint(-10**4, 10**4), scale * rng.randint(-5, 5),
-                    rng.randint(-(2**70), 2**70), rng.randint(1, 10**6) * 10**4,
-                ])
-                for _ in range(rng.randint(0, 40))
-            ]
-            assert [format_scaled(v, scale) for v in nums] == [
-                str(Fraction(v, scale)) for v in nums
-            ], (nums, scale)
 
 
 def test_build_instance_reads_a_one_shot_iterable():
