@@ -816,8 +816,8 @@ def wide_prices(s):
 
 
 # sha256 of the stdout of one wide solve (s = 2000, mixed decimals, budget at
-# 95 % of the energy range), recorded before the price parse, the rounding
-# and the report columns became whole-column passes.
+# 95 % of the energy range), recorded before the price parse and the
+# rounding became whole-column passes.
 WIDE_SOLVE_SHA256 = (
     "4a7333e5c82e3ef29d962cc6db6d37c3ba1e14196987fdb43704626488d41098"
 )
