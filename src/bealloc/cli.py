@@ -74,12 +74,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def read_prices(path: str) -> list[str]:
-    """Read the price CSV: one `price` or `index,price` line per enterprise."""
+    """Read the price CSV: one `price` or `index,price` line per enterprise.
+
+    Lines end at newlines only; read_text has already turned \r\n and \r
+    into \n. Other characters that str.splitlines breaks at (\v, \f,
+    \x85, \u2028, ...) stay inside their line.
+    """
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read prices file {path}: {exc}") from exc
-    lines = text.splitlines()
+    lines = text.split("\n")
     if "," not in text:  # bare prices only: drop the blank lines
         return list(filter(None, map(str.strip, lines)))
     out: list[str] = []
@@ -294,7 +299,8 @@ def cmd_verify(args: argparse.Namespace) -> dict:
             )
             dev = stats.deviation_fraction
             shell = oracle.low_energy_shell_weight(
-                inst, params.beta, _SHELL_EPSILON, args.cap
+                inst, params.beta, _SHELL_EPSILON, args.cap,
+                total=stats.total_count,
             )
             total: Optional[str] = str(stats.total_count)
         else:

@@ -317,6 +317,12 @@ class ProblemInstance:
         # and every Composition.energy call ask for it
         return self.weights.numerators[1:]
 
+    @cached_property
+    def _offsets_memo(self) -> dict:
+        # solver.mode_offsets keeps one entry per pole side here, so the fit
+        # and the rounding of one solve convert the weights to floats once
+        return {}
+
     @property
     def degeneracies(self) -> tuple[int, ...]:
         # every mode is simple; kept only for perfbench until its next change

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, Optional, TypeVar
 
 import numpy as np
 
@@ -370,18 +370,21 @@ def low_energy_shell_weight(
     beta: float,
     epsilon: float = 0.25,
     cap: int = DEFAULT_CAP,
+    total: Optional[int] = None,
 ) -> float:
     """(1/|M|) * sum of exp(-beta * energy) over the low-energy shell.
 
     The shell keeps members with energy <= E - n^(1/2 + epsilon). The
     threshold is compared exactly against scaled integer energies. At
     beta = 0 the weight is the exact count ratio; a weight beyond float
-    range raises DomainError.
+    range raises DomainError. total, if given, is |M| as an earlier walk
+    counted it (`cumulative_stats`), and is not counted again.
     """
     check_cap(instance, cap)
     lams = instance.mode_weights_scaled()
     budget = instance.effective_budget_scaled()
-    total = _count(lams, instance.n, budget)
+    if total is None:
+        total = _count(lams, instance.n, budget)
     if total == 0:
         raise DegenerateBoundary("configuration set is empty")
 

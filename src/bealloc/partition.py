@@ -14,7 +14,14 @@ scaled integer weights. Each mode's update is then a geometric prefix sum,
     z_i(k) = r^k * sum_{j<=k} r^(-j) * z_{i-1}(j),
 
 one cumulative log-add-exp over the units per mode, in log space so
-nothing ever over- or underflows. The grand sum
+nothing ever over- or underflows. The recurrence and the contour product
+skip every mode with beta*d >= NEGLIGIBLE_LOG_RATIO = 70*log(2), whose
+ratio r < 2^-70 is below double resolution (`resolved_tilts`). The pole mode
+(d = 0) is always kept, so z(k) is nondecreasing in k, and a dropped mode
+then scales z(k) by a factor in [1, 1/(1 - r)]: with at most DP_MAX_MODES
+modes, log Z moves by less than 1000 * 2^-70 < 1e-18. The cap check still
+counts every mode, and the grand sum below runs over all of them. The grand
+sum
 zeta(beta, nu) = prod_j (1 - exp(nu - beta*lambda_j))^(-1) ties Z to the
 occupancy solver: the saddle point nu* satisfies the same equation as the
 count constraint sigma, and the Gaussian approximation around it gives
@@ -47,6 +54,9 @@ MIN_GRID = 64
 # double r < 1, so a block's product lies within [2^-848, 2^16] and a
 # rescaled mantissa times it stays a normal float.
 BLOCK_MODES = 16
+# A mode with beta*d at or above this has r = exp(-beta*d) <= 2^-70 and
+# cannot move log Z by one bit (see the module docstring).
+NEGLIGIBLE_LOG_RATIO = 70.0 * math.log(2.0)
 
 
 class ScaledReal(NamedTuple):
@@ -96,6 +106,16 @@ def _check_caps(n: int, m: int) -> None:
         )
 
 
+def resolved_tilts(instance: ProblemInstance, beta: float) -> np.ndarray:
+    """beta*d of every mode below NEGLIGIBLE_LOG_RATIO, in mode order.
+
+    d is the offset from the pole mode of beta's sign, so every entry is
+    >= 0 and the pole mode's 0 is always among them.
+    """
+    tilts = beta * mode_offsets(instance, beta).d
+    return tilts[tilts < NEGLIGIBLE_LOG_RATIO]
+
+
 def z_profile(
     instance: ProblemInstance, beta: float, n_max: int
 ) -> np.ndarray:
@@ -104,18 +124,18 @@ def z_profile(
     The recurrence runs over the units in order and each cumulative
     log-add-exp is sequential, so entry k depends only on the modes, beta
     and k: a longer profile starts with every shorter one, bit for bit.
-    Only instance's modes matter, not its n. Raises CapExceeded past
-    DP_MAX_MODES modes.
+    Only instance's modes matter, not its n, and only those that
+    `resolved_tilts` keeps. Raises CapExceeded past DP_MAX_MODES modes,
+    counting every mode.
     """
     units = min(n_max, DP_MAX_UNITS)
     _check_caps(units, instance.size - 1)
-    modes = mode_offsets(instance, beta)
     k = np.arange(units + 1, dtype=float)
     log_z = np.full(k.size, -np.inf)
     log_z[0] = 0.0
     # log r = -beta*d <= 0 per mode; the pole energy beta*lambda_p*n is
     # added by z_exact, so the prefix sums carry only the offsets
-    for log_r in -beta * modes.d:
+    for log_r in -resolved_tilts(instance, beta):
         tilt = k * log_r
         log_z = tilt + np.logaddexp.accumulate(log_z - tilt)
     return log_z
@@ -222,14 +242,14 @@ def z_integral(
     The integrand is smooth and periodic, so the uniform-grid sum converges
     spectrally; grid must be at least 64. zeta = 1/P with
     P = prod_j (1 - r_j*exp(i*alpha)) and r_j = exp(-x_j) < 1, one ratio
-    per mode. With P the blocked, rescaled product of
-    `_contour_product`, the integrand is
+    per mode that `resolved_tilts` keeps. With P the blocked, rescaled
+    product of `_contour_product`, the integrand is
     exp(-log|P| - shift) * (|P|/P) * exp(-i*N*alpha), with shift the
     largest -log|P|: one logarithm per grid point, none per mode.
     """
     check_grid(grid)
-    modes = mode_offsets(instance, beta)
-    r = np.exp(-(beta * modes.d + modes.x0(beta, nu)))
+    x0 = mode_offsets(instance, beta).x0(beta, nu)
+    r = np.exp(-(resolved_tilts(instance, beta) + x0))
     if not r.max() < 1.0:
         raise DomainError(f"nu = {nu} is within float resolution of a pole")
     n = instance.n

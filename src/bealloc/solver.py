@@ -139,11 +139,20 @@ class OccupancySums(NamedTuple):
 
 def mode_offsets(instance: ProblemInstance, beta: float) -> ModeOffsets:
     """Offsets from the pole mode of a beta of this sign (lambda_2 for
-    beta < 0, else lambda_s), so that x_j >= x0 on every mode."""
-    scaled = instance.mode_weights_scaled()
-    p = 0 if beta < 0 else len(scaled) - 1
-    d = np.array(list(map(operator.sub, scaled, repeat(scaled[p]))), float)
-    return ModeOffsets(d / instance.scale, Fraction(scaled[p], instance.scale))
+    beta < 0, else lambda_s), so that x_j >= x0 on every mode.
+
+    Built once per instance and pole side; d is read-only.
+    """
+    memo = instance._offsets_memo
+    side = beta < 0
+    if side not in memo:
+        scaled = instance.mode_weights_scaled()
+        p = 0 if side else len(scaled) - 1
+        d = np.array(list(map(operator.sub, scaled, repeat(scaled[p]))), float)
+        d /= instance.scale
+        d.flags.writeable = False
+        memo[side] = ModeOffsets(d, Fraction(scaled[p], instance.scale))
+    return memo[side]
 
 
 def mode_occupancies(modes: ModeOffsets, beta: float, x0: float) -> np.ndarray:

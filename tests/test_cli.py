@@ -203,6 +203,26 @@ def test_verify_report_frozen_counts(capsys):
     assert report["shell_weight_decreasing"] is False
 
 
+def test_verify_walks_each_row_once(capsys, monkeypatch):
+    # the shell weight takes |M| from the statistics walk, so no count walk
+    # runs over a row's whole budget; the report is unchanged
+    _, plain, _ = run(capsys, ["verify"])
+    budgets = []
+    count = oracle._count
+
+    def recording(lams, n, budget):
+        budgets.append((n, budget))
+        return count(lams, n, budget)
+
+    monkeypatch.setattr(oracle, "_count", recording)
+    code, out, _ = run(capsys, ["verify"])
+    assert (code, out) == (0, plain)
+    for n in (6, 9, 12, 15):
+        inst = bealloc.unit_price_family(n, "mean")
+        assert (n, inst.effective_budget_scaled()) not in budgets
+    assert len(budgets) == 4  # the beta = 0 shell counts, one per row
+
+
 def test_verify_sampled_extends_the_ladder(capsys):
     code, out, _ = run(capsys, ["verify", "--samples", "400", "--seed", "1"])
     assert code == 0
@@ -375,6 +395,42 @@ def test_prices_file_skips_blank_lines(tmp_path):
     path = tmp_path / "gaps.csv"
     path.write_text("\n1\n\n2\n3\n\n")
     assert read_prices(str(path)) == ["1", "2", "3"]
+
+
+@pytest.mark.parametrize("text, prices", [
+    ("1\v2\n3\n", ["1\v2", "3"]),
+    ("1\f2\x1c3\x1d4\x1e5\x856\u20287\u20298\n", [
+        "1\f2\x1c3\x1d4\x1e5\x856\u20287\u20298"
+    ]),
+    ("1\r\n2\r3\n", ["1", "2", "3"]),
+])
+def test_prices_file_breaks_lines_at_newlines_only(tmp_path, text, prices):
+    # str.splitlines would also break at \v, \f, \x1c-\x1e, \x85,
+    # \u2028 and \u2029; read_text turns \r\n and \r into \n
+    path = tmp_path / "breaks.csv"
+    path.write_bytes(text.encode())
+    assert read_prices(str(path)) == prices
+
+
+def test_prices_file_with_a_vertical_tab_is_one_bad_price(capsys, tmp_path):
+    path = tmp_path / "vt.csv"
+    path.write_text("1\v2\n3\n")
+    code, out, err = run(
+        capsys,
+        ["solve", "--prices", str(path), "--min-shares", "0",
+         "--max-shares", "2", "--budget", "8"],
+    )
+    assert (code, out) == (4, "")
+    assert err == "error: could not parse price 1 '1\\x0b2'\n"
+
+
+def test_indexed_prices_file_counts_newlines_only(tmp_path):
+    # one newline, so one line: its second comma is the error, not the order
+    path = tmp_path / "vt.csv"
+    path.write_text("1,1\v1,2\n")
+    with pytest.raises(InputError) as exc:
+        read_prices(str(path))
+    assert str(exc.value) == f"{path}:1: expected `price` or `index,price`"
 
 
 def fraction_report_strings(prices, k, m, budget, scale):
@@ -900,3 +956,35 @@ def test_parser_is_built_once_and_reused(capsys, prices_file, monkeypatch):
     with pytest.raises(SystemExit):
         real().parse_args(["--help"])
     assert capsys.readouterr() == help_text
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+
+
+def test_zcheck_matches_the_golden_catalog(capsys, tmp_path):
+    # every catalog zcheck variant, run the way the benchmark runs it:
+    # log_z_exact within 1e-12 of the catalog's reference, which comes from
+    # Newton's identities, not from the recurrence
+    catalog = json.loads(GOLDEN.read_text())["zcheck"]
+    checked = 0
+    for cls in catalog:
+        for entry in cls["variants"]:
+            path = tmp_path / f"z-n{cls['n0']}-s{cls['s']}-{entry['id']}.csv"
+            path.write_text("".join(f"{p}\n" for p in entry["prices"]))
+            code, out, err = run(
+                capsys,
+                ["zcheck", "--prices", str(path), "--min-shares", "0",
+                 "--max-shares", str(cls["n0"]), "--beta", entry["beta"],
+                 "--grid", "4096"],
+            )
+            assert (code, err) == (0, ""), path.name
+            rows = json.loads(out)["rows"]
+            assert [r["n"] for r in rows] == [g["n"] for g in entry["rows"]]
+            for row, gold in zip(rows, entry["rows"]):
+                want = float(gold["log_z_exact"])
+                got = float(row["log_z_exact"])
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (
+                    path.name, row["n"], got, want
+                )
+            checked += 1
+    assert checked == 75

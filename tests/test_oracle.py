@@ -312,6 +312,18 @@ def test_shell_weight_matches_member_by_member_sum():
         )
 
 
+def test_shell_weight_takes_a_given_total():
+    # a caller that has counted |M| already hands it in; it is used as is
+    inst = unit_price_family(12, "mean")
+    total = count_configurations(inst)
+    for beta in (0.0, 0.05):
+        weight = low_energy_shell_weight(inst, beta)
+        assert low_energy_shell_weight(inst, beta, total=total) == weight
+        assert low_energy_shell_weight(
+            inst, beta, total=2 * total
+        ) == pytest.approx(weight / 2, rel=1e-15)
+
+
 def test_shell_weight_beyond_float_range():
     # the shell holds energies up to 4900, and exp(0.5 * 4900) overflows
     inst = build_instance(["100"] * 8, 0, 8, "5000")

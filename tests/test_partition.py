@@ -24,7 +24,14 @@ from bealloc import (
     z_integral,
     z_saddle,
 )
-from bealloc.partition import DP_MAX_MODES, DP_MAX_UNITS, z_profile
+from bealloc.partition import (
+    DP_MAX_MODES,
+    DP_MAX_UNITS,
+    NEGLIGIBLE_LOG_RATIO,
+    _contour_product,
+    resolved_tilts,
+    z_profile,
+)
 from bealloc.solver import mode_offsets
 from conftest import decimal_string, random_instance
 
@@ -349,6 +356,91 @@ def test_z_integral_guards():
     # below the pole, but exp(nu) rounds to 1: the integrand has a pole
     with pytest.raises(DomainError):
         z_integral(inst, 0.0, -1e-20, grid=64)
+
+
+def all_modes_log_z(inst, beta):
+    """log Z(n) from the recurrence over every mode, none skipped."""
+    modes = mode_offsets(inst, beta)
+    k = np.arange(inst.n + 1, dtype=float)
+    log_z = np.full(k.size, -np.inf)
+    log_z[0] = 0.0
+    for log_r in -beta * modes.d:
+        tilt = k * log_r
+        log_z = tilt + np.logaddexp.accumulate(log_z - tilt)
+    return float(log_z[inst.n]) - beta * float(modes.pole) * inst.n
+
+
+def all_modes_log_z_integral(inst, beta, nu, grid):
+    """z_integral's quadrature over every mode, none skipped."""
+    modes = mode_offsets(inst, beta)
+    r = np.exp(-(beta * modes.d + modes.x0(beta, nu)))
+    alphas = -math.pi + (2.0 * math.pi / grid) * np.arange(grid)
+    mantissa, exponent = _contour_product(r, np.exp(1j * alphas))
+    modulus = np.abs(mantissa)
+    log_zeta = -(np.log(modulus) + math.log(2.0) * exponent)
+    shift = float(log_zeta.max())
+    integrand = (
+        np.exp(log_zeta - shift) * (modulus / mantissa)
+        * np.exp(-1j * inst.n * alphas)
+    )
+    value = float(integrand.real.sum()) / grid
+    return math.log(value) + shift - nu * inst.n
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("n", [40, 2500])
+def test_skipped_modes_do_not_move_log_z(sign, n):
+    # 999 cent-priced modes at a catalog-sized beta: most modes sit far
+    # above the pole and are skipped, which moves log Z by < 1e-18
+    rng = random.Random(f"skip:{sign}:{n}")
+    inst = cent_instance(rng, 999, n)
+    beta = sign * 0.01
+    kept = resolved_tilts(inst, beta)
+    assert 1 <= kept.size < (inst.size - 1) // 2
+    tol = 1e-15 * max(1.0, abs(all_modes_log_z(inst, beta)))
+    assert abs(z_exact(inst, beta).log - all_modes_log_z(inst, beta)) <= tol
+    nu = saddle_nu(inst, beta)
+    want = all_modes_log_z_integral(inst, beta, nu, 4096)
+    got = z_integral(inst, beta, nu, 4096).log
+    assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("beta", [-0.01, 0.0, 2e-4])
+def test_no_skipped_mode_is_bit_identical(beta):
+    inst = cent_instance(random.Random(f"keep:{beta}"), 59, 300)
+    tilts = beta * mode_offsets(inst, beta).d
+    assert tilts.max() < NEGLIGIBLE_LOG_RATIO
+    assert np.array_equal(resolved_tilts(inst, beta), tilts)
+    assert z_exact(inst, beta).log == all_modes_log_z(inst, beta)
+    nu = saddle_nu(inst, beta)
+    assert z_integral(inst, beta, nu, 4096).log == all_modes_log_z_integral(
+        inst, beta, nu, 4096
+    )
+
+
+def test_pole_mode_is_always_kept():
+    # every mode but the pole is skipped, on either side of beta = 0
+    prices = ["0.001"] + ["100"] * 998 + ["0.001"]
+    inst = build_instance(prices, 0, 40, None)
+    for beta in (-1.0, 1.0):
+        assert np.array_equal(resolved_tilts(inst, beta), [0.0])
+    # nu sits so close below the pole (lambda_s = 0.001) that its ratio
+    # rounds to 1: the pole error still fires
+    beta = 1.0
+    nu = beta * float(mode_offsets(inst, beta).pole) - 1e-18
+    assert mode_offsets(inst, beta).x0(beta, nu) > 0.0
+    with pytest.raises(DomainError, match="pole"):
+        z_integral(inst, beta, nu, 64)
+
+
+def test_cap_counts_skipped_modes():
+    # DP_MAX_MODES + 1 modes, all but one negligible at this beta
+    inst = build_instance(["100"] * (DP_MAX_MODES + 2), 0, 2, None)
+    assert resolved_tilts(inst, 1.0).size == 1
+    with pytest.raises(CapExceeded, match="capped"):
+        z_profile(inst, 1.0, 2)
+    with pytest.raises(CapExceeded, match="capped"):
+        z_exact(inst, 1.0)
 
 
 def test_scaled_real_round_trip():

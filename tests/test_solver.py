@@ -38,6 +38,21 @@ def test_occupancy_closed_values():
     assert occupancy(1.0, 0.0, 40.0) == pytest.approx(math.exp(-40.0), rel=1e-12)
 
 
+def test_mode_offsets_built_once_per_pole_side():
+    # the fit and the rounding of one solve share one float view
+    inst = random_instance(random.Random(3))
+    params = solve_params(inst)
+    modes = mode_offsets(inst, params.beta)
+    build_allocation(inst, params)
+    assert mode_offsets(inst, params.beta) is modes
+    assert mode_offsets(inst, 0.5) is mode_offsets(inst, 2.0)
+    assert mode_offsets(inst, 0.0) is mode_offsets(inst, 2.0)
+    assert mode_offsets(inst, -0.5) is mode_offsets(inst, -3.0)
+    assert mode_offsets(inst, -0.5) is not mode_offsets(inst, 0.5)
+    # shared, so nobody may write to it
+    assert not modes.d.flags.writeable
+
+
 def test_occupancy_pole_rejected():
     with pytest.raises(DomainError):
         occupancy(0.0, 0.0, 5.0)
