@@ -14,17 +14,20 @@ scaled integer weights. Each mode's update is then a geometric prefix sum,
     z_i(k) = r^k * sum_{j<=k} r^(-j) * z_{i-1}(j),
 
 one cumulative log-add-exp over the units per mode, in log space so
-nothing ever over- or underflows. The recurrence and the contour product
-skip every mode with beta*d >= NEGLIGIBLE_LOG_RATIO = 70*log(2), whose
-ratio r < 2^-70 is below double resolution (`resolved_tilts`). The pole mode
-(d = 0) is always kept, so z(k) is nondecreasing in k, and a dropped mode
-then scales z(k) by a factor in [1, 1/(1 - r)]: with at most DP_MAX_MODES
-modes, log Z moves by less than 1000 * 2^-70 < 1e-18. The cap check still
-counts every mode, and the grand sum below runs over all of them. The grand
-sum
-zeta(beta, nu) = prod_j (1 - exp(nu - beta*lambda_j))^(-1) ties Z to the
-occupancy solver: the saddle point nu* satisfies the same equation as the
-count constraint sigma, and the Gaussian approximation around it gives
+nothing ever over- or underflows.
+
+The recurrence and the contour product skip every mode with
+beta*d >= NEGLIGIBLE_LOG_RATIO = 70*log(2), whose ratio r <= 2^-70 is below
+double resolution (`resolved_tilts`). The pole mode (d = 0) is always kept,
+so z(k) is nondecreasing in k, and a skipped mode then scales z(k) by a
+factor in [1, 1/(1 - r)]: with at most DP_MAX_MODES modes, log Z moves by
+less than 1000 * 2^-70 < 1e-18. The cap check still counts every mode, and
+the grand sum below runs over all of them.
+
+The grand sum zeta(beta, nu) = prod_j (1 - exp(nu - beta*lambda_j))^(-1)
+ties Z to the occupancy solver: the saddle point nu* satisfies the same
+equation as the count constraint sigma, and the Gaussian approximation
+around it gives
 
     Z ~ exp(-nu*N) * zeta(beta, nu*) / sqrt(2*pi * d2),
 
