@@ -22,7 +22,6 @@ import functools
 import json
 import math
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
@@ -193,19 +192,14 @@ def _check_ensemble_flags(args: argparse.Namespace) -> None:
     if args.cap < 0:
         raise InputError(f"--cap must be nonnegative, got {args.cap}")
     if args.samples is not None:
-        if args.samples < 0:
-            raise InputError(
-                f"sample count must be nonnegative, got {args.samples}"
-            )
-        if args.seed < 0:
-            raise InputError(f"seed must be nonnegative, got {args.seed}")
+        oracle.check_sampling(args.samples, args.seed)
 
 
 def cmd_enumerate(args: argparse.Namespace) -> dict:
     _check_ensemble_flags(args)
     inst = _build(args)
     if args.l is not None:  # before the fit, which a boundary budget skips
-        oracle.check_index(inst, args.l)
+        solver.check_index(inst, args.l)
     report: dict = {
         "command": "enumerate",
         "instance": _instance_doc(inst),
@@ -261,17 +255,15 @@ def _sampled_row_stats(
     """Estimate deviation fraction and shell weight from uniform draws.
 
     Works on the draw matrix: S_l is a row sum, and a draw is in the shell
-    when its exact scaled energy is at most floor(threshold * scale). The
-    shell terms exp(-beta * energy) are added one by one in draw order.
+    when its exact scaled energy is within `oracle.shell_budget`. The shell
+    terms exp(-beta * energy) are added one by one in draw order.
     """
     parts = oracle.sample_uniform(inst, samples, seed).parts
     center = solver.predicted_cumulative(inst, params, l)
     s_l = parts[:, : l - 1].sum(axis=1)
     deviations = int(np.count_nonzero(np.abs(s_l - center) >= delta))
-    offset = float(inst.n) ** (0.5 + _SHELL_EPSILON)
-    threshold = inst.effective_budget - Fraction(offset)
     energies = oracle.scaled_energies(inst, parts)
-    in_shell = energies <= math.floor(threshold * inst.scale)
+    in_shell = energies <= oracle.shell_budget(inst, _SHELL_EPSILON)
     shell = 0.0
     for energy in energies[in_shell].tolist():
         shell += math.exp(-params.beta * (energy / inst.scale))
@@ -350,12 +342,13 @@ def cmd_zcheck(args: argparse.Namespace) -> dict:
     # past float range every mode's Boltzmann exponent is inf or nan, and
     # the recurrence would only end in a misleading pole error; its largest
     # tilt k*beta*(lambda_j - lambda_p) is at k = 4n and the widest gap
-    lam2 = float(inst.mode_weights[0])
+    lams, scale = inst.weights.numerators, inst.scale
+    lam2 = lams[1] / scale
     if not math.isfinite(beta * lam2):
         raise InputError(
             f"--beta {beta} overflows beta * lambda_2 (lambda_2 = {lam2})"
         )
-    gap = float(inst.mode_weights[0] - inst.mode_weights[-1])
+    gap = (lams[1] - lams[-1]) / scale
     if not math.isfinite(4 * inst.n * abs(beta) * gap):
         raise InputError(
             f"--beta {beta} overflows 4n * |beta| * (lambda_2 - lambda_s) "

@@ -13,6 +13,9 @@ the count |M| (stars-and-bars binomials), the ensemble statistics (|M|, the
 S_l histogram and per-mode totals, all exact integers) and the shell weight,
 a sum of exp(-beta * energy) that is a product over modes, so it joins like
 the count; it is summed in log space, and is the count ratio at beta = 0.
+Its closed form for a suffix is a complete homogeneous polynomial, tabulated
+by the log-space geometric prefix-sum recurrence that the partition layer
+runs for Z (`partition.geometric_prefix_sums`).
 `enumerate --l` takes |M| from the statistics walk and runs no separate
 count walk.
 
@@ -42,12 +45,12 @@ from .errors import (
     CapExceeded,
     DegenerateBoundary,
     DomainError,
-    IndexRange,
     InputError,
     LowAcceptance,
 )
 from .model import ProblemInstance
-from .solver import ThermoParams, predicted_cumulative
+from .partition import geometric_prefix_sums
+from .solver import ThermoParams, check_index, predicted_cumulative
 
 DEFAULT_CAP = 10**8
 _PILOT_TRIALS = 100_000
@@ -135,11 +138,12 @@ def check_cap(instance: ProblemInstance, cap: int) -> None:
         )
 
 
-def check_index(instance: ProblemInstance, l: int) -> None:
-    """Raise IndexRange unless the cumulative index l lies in 2..s."""
-    s = instance.size
-    if l < 2 or l > s:
-        raise IndexRange(f"l = {l} outside 2..{s}")
+def check_sampling(count: int, seed: int) -> None:
+    """Raise InputError unless the sample count and seed are nonnegative."""
+    if count < 0:
+        raise InputError(f"sample count must be nonnegative, got {count}")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
 
 
 def iter_compositions(
@@ -271,6 +275,24 @@ def deviation_band(n: int, epsilon: float = 0.0) -> float:
         ) from exc
 
 
+def shell_budget(instance: ProblemInstance, epsilon: float) -> int:
+    """The low-energy shell's cut on scaled energies,
+    floor((E - n^(1/2 + epsilon)) * scale), exact from the float offset
+    (0 at n = 0). The offset is never negative, so the cut never exceeds
+    the budget."""
+    n = instance.n
+    try:
+        offset = Fraction(float(n) ** (0.5 + epsilon) if n else 0.0)
+    except (OverflowError, ValueError) as exc:
+        raise InputError(
+            f"shell cut n^(1/2 + epsilon) is not a finite float at n = {n}, "
+            f"epsilon = {epsilon}"
+        ) from exc
+    return instance.effective_budget_scaled() - math.ceil(
+        offset * instance.scale
+    )
+
+
 def _unpack(packed: int, w: int, size: int) -> list[int]:
     """The size lowest base-2^w digits of packed, least significant first."""
     mask = (1 << w) - 1
@@ -374,36 +396,31 @@ def low_energy_shell_weight(
 ) -> float:
     """(1/|M|) * sum of exp(-beta * energy) over the low-energy shell.
 
-    The shell keeps members with energy <= E - n^(1/2 + epsilon). The
-    threshold is compared exactly against scaled integer energies. At
-    beta = 0 the weight is the exact count ratio; a weight beyond float
-    range raises DomainError. total, if given, is |M| as an earlier walk
-    counted it (`cumulative_stats`), and is not counted again.
+    The shell keeps members with energy <= E - n^(1/2 + epsilon), compared
+    exactly against scaled integer energies (`shell_budget`; a cut beyond
+    float range raises InputError). At beta = 0 the weight is the exact
+    count ratio; a weight beyond float range raises DomainError. total, if
+    given, is |M| as an earlier walk counted it (`cumulative_stats`), and
+    is not counted again.
     """
     check_cap(instance, cap)
+    cut = shell_budget(instance, epsilon)
     lams = instance.mode_weights_scaled()
-    budget = instance.effective_budget_scaled()
     if total is None:
-        total = _count(lams, instance.n, budget)
+        total = _count(lams, instance.n, instance.effective_budget_scaled())
     if total == 0:
         raise DegenerateBoundary("configuration set is empty")
-
-    offset = float(instance.n) ** (0.5 + epsilon) if instance.n else 0.0
-    threshold = instance.effective_budget - Fraction(offset)
-    shell_budget = min(math.floor(threshold * instance.scale), budget)
     if beta == 0.0:
-        return _count(lams, instance.n, shell_budget) / total
+        return _count(lams, instance.n, cut) / total
 
     # The weight is a product over modes, so it joins like the count. A
     # suffix from mode i where every completion fits weighs h_k(x_i, ...),
     # the complete homogeneous polynomial in x_j = exp(-beta * lambda_j),
-    # tabulated for all k by h_k(x_i, ...) = sum_j x_i^(k-j) h_j(x_i+1, ...).
+    # tabulated for all k by h_k(x_i, ...) = sum_j x_i^(k-j) h_j(x_i+1, ...):
+    # the geometric prefix sums of Z, run from the last mode to the first.
     # All of it is in log space, so no partial sum over- or underflows.
     logx = [-beta * (lam / instance.scale) for lam in lams]
-    k = np.arange(instance.n + 1)
-    table = [k * logx[-1]]
-    for a in reversed(logx[:-1]):
-        table.append(k * a + np.logaddexp.accumulate(table[-1] - k * a))
+    table = list(geometric_prefix_sums(instance.n, reversed(logx)))
     table.reverse()
 
     def join(i: int, kids: list[float]) -> float:
@@ -414,7 +431,7 @@ def low_energy_shell_weight(
         return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
     log_weight = _walk(
-        lams, instance.n, shell_budget, lambda i, u: float(table[i][u]), join
+        lams, instance.n, cut, lambda i, u: float(table[i][u]), join
     )
     try:
         return math.exp(log_weight - math.log(total))
@@ -447,10 +464,7 @@ def sample_uniform(
     LowAcceptance when fewer than 1 in 10^4 proposals survive a 10^5-trial
     pilot.
     """
-    if count < 0:
-        raise InputError(f"sample count must be nonnegative, got {count}")
-    if seed < 0:
-        raise InputError(f"seed must be nonnegative, got {seed}")
+    check_sampling(count, seed)
     m = instance.size - 1
     n = instance.n
     kept = [np.zeros((0, m), dtype=np.int64)]

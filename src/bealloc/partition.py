@@ -14,7 +14,10 @@ scaled integer weights. Each mode's update is then a geometric prefix sum,
     z_i(k) = r^k * sum_{j<=k} r^(-j) * z_{i-1}(j),
 
 one cumulative log-add-exp over the units per mode, in log space so
-nothing ever over- or underflows.
+nothing ever over- or underflows. That recurrence, from the unit row
+[0, -inf, ...] of the empty product, is `geometric_prefix_sums`; the
+oracle's shell weight runs the same generator for its table of complete
+homogeneous polynomials.
 
 The recurrence and the contour product skip every mode with
 beta*d >= NEGLIGIBLE_LOG_RATIO = 70*log(2), whose ratio r <= 2^-70 is below
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -119,6 +122,25 @@ def resolved_tilts(instance: ProblemInstance, beta: float) -> np.ndarray:
     return tilts[tilts < NEGLIGIBLE_LOG_RATIO]
 
 
+def geometric_prefix_sums(
+    units: int, log_ratios: Iterable[float]
+) -> Iterator[np.ndarray]:
+    """Yield log z(k), k = 0..units, after each mode's update.
+
+    z starts as the unit row (z(0) = 1, else 0), and a mode of log ratio
+    a = log r replaces it by z'(k) = sum_{j<=k} r^(k-j) * z(j), one
+    cumulative log-add-exp: log z' = k*a + logaddexp.accumulate(log z - k*a).
+    Each yielded row is a new array.
+    """
+    k = np.arange(units + 1, dtype=float)
+    log_z = np.full(k.size, -np.inf)
+    log_z[0] = 0.0
+    for log_r in log_ratios:
+        tilt = k * log_r
+        log_z = tilt + np.logaddexp.accumulate(log_z - tilt)
+        yield log_z
+
+
 def z_profile(
     instance: ProblemInstance, beta: float, n_max: int
 ) -> np.ndarray:
@@ -133,14 +155,11 @@ def z_profile(
     """
     units = min(n_max, DP_MAX_UNITS)
     _check_caps(units, instance.size - 1)
-    k = np.arange(units + 1, dtype=float)
-    log_z = np.full(k.size, -np.inf)
-    log_z[0] = 0.0
     # log r = -beta*d <= 0 per mode; the pole energy beta*lambda_p*n is
-    # added by z_exact, so the prefix sums carry only the offsets
-    for log_r in -resolved_tilts(instance, beta):
-        tilt = k * log_r
-        log_z = tilt + np.logaddexp.accumulate(log_z - tilt)
+    # added by z_exact, so the prefix sums carry only the offsets. The pole
+    # mode is always resolved, so there is at least one row.
+    for log_z in geometric_prefix_sums(units, -resolved_tilts(instance, beta)):
+        pass  # only the row after the last mode is kept
     return log_z
 
 

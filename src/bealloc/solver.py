@@ -231,9 +231,7 @@ def solve_params(instance: ProblemInstance) -> ThermoParams:
     n = instance.n
     if n == 0:
         raise DegenerateBoundary("no increments to place (K = M)")
-    scaled = instance.mode_weights_scaled()
-    e_scaled = instance.effective_budget_scaled()
-    if not (n * scaled[-1] < e_scaled < n * scaled[0]):
+    if not instance.interior:
         low, high = energy_range(instance)
         raise DegenerateBoundary(
             f"effective budget {instance.effective_budget} not strictly "
@@ -241,6 +239,8 @@ def solve_params(instance: ProblemInstance) -> ThermoParams:
             f"interior solution exists"
         )
 
+    scaled = instance.mode_weights_scaled()
+    e_scaled = instance.effective_budget_scaled()
     scale = instance.scale
     # E*Q against N*sum(lambda): beta > 0 below the uniform mean energy.
     mean_gap = n * sum(scaled) - e_scaled * len(scaled)
@@ -301,12 +301,18 @@ def solve_params(instance: ProblemInstance) -> ThermoParams:
     return ThermoParams(beta, beta * lam_p - x0, r_n, r_e)
 
 
+def check_index(instance: ProblemInstance, l: int) -> None:
+    """Raise IndexRange unless the cumulative index l lies in 2..s."""
+    s = instance.size
+    if l < 2 or l > s:
+        raise IndexRange(f"l = {l} outside 2..{s}")
+
+
 def predicted_cumulative(
     instance: ProblemInstance, params: ThermoParams, l: int
 ) -> float:
     """Occupancy prediction for the cumulative increment sum over modes 2..l."""
-    if l < 2 or l > instance.size:
-        raise IndexRange(f"l = {l} outside 2..{instance.size}")
+    check_index(instance, l)
     modes = mode_offsets(instance, params.beta)
     x0 = modes.x0(params.beta, params.sigma)
     occ = mode_occupancies(modes, params.beta, x0)

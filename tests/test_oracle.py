@@ -37,9 +37,11 @@ from bealloc import (
 from bealloc.oracle import (
     DEFAULT_CAP,
     EnsembleStats,
+    _count,
     _walk,
     check_cap,
     deviation_band,
+    shell_budget,
 )
 from bealloc.solver import predicted_cumulative
 from conftest import random_instance
@@ -377,6 +379,97 @@ def test_shell_weight_beta_zero_is_count_ratio():
     threshold = inst.effective_budget - Fraction(6.0 ** 0.75)
     members = [c for c in comps if c.energy(inst) <= threshold]
     assert got == len(members) / len(comps)
+
+
+def h_table_shell_weight(inst, beta, epsilon=0.25):
+    """The shell weight with its own copy of the h_k table and of the cut.
+
+    The table starts at the last mode's row k * log x_s and adds one mode
+    at a time toward the first, each a log-space geometric prefix sum; the
+    shipped weight runs the partition layer's recurrence from the unit row.
+    """
+    lams = inst.mode_weights_scaled()
+    budget = inst.effective_budget_scaled()
+    total = _count(lams, inst.n, budget)
+    offset = float(inst.n) ** (0.5 + epsilon) if inst.n else 0.0
+    threshold = inst.effective_budget - Fraction(offset)
+    cut = min(math.floor(threshold * inst.scale), budget)
+    if beta == 0.0:
+        return _count(lams, inst.n, cut) / total
+    logx = [-beta * (lam / inst.scale) for lam in lams]
+    k = np.arange(inst.n + 1)
+    table = [k * logx[-1]]
+    for a in reversed(logx[:-1]):
+        table.append(k * a + np.logaddexp.accumulate(table[-1] - k * a))
+    table.reverse()
+
+    def join(i, kids):
+        if not kids:
+            return -math.inf
+        terms = [v * logx[i] + w for v, w in enumerate(kids)]
+        top = max(terms)
+        return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
+    log_weight = _walk(
+        lams, inst.n, cut, lambda i, u: float(table[i][u]), join
+    )
+    return math.exp(log_weight - math.log(total))
+
+
+def test_shell_weight_bit_identical_to_mode_by_mode_table():
+    rng = random.Random(1607)
+    cases = [
+        (build_instance(["1", "2", "3"], 2, 2, "12"), 0.5),  # n = 0
+        (build_instance(["0.5", "1.25", "2"], 1, 1, "3.75"), -2.0),  # n = 0
+        (build_example("6.5"), 0.7),  # the empty shell
+        (build_example("6.5"), -0.7),
+    ]
+    for _ in range(120):
+        inst = random_instance(rng, s_max=9, n_max=12)
+        beta = rng.choice([0.05, -0.05, 0.5, -0.5, 1e-3, 2.0,
+                           rng.uniform(-1.0, 1.0)])
+        cases.append((inst, beta))
+    compared = 0
+    for inst, beta in cases:
+        for eps in (0.1, 0.25):
+            try:
+                got = low_energy_shell_weight(inst, beta, epsilon=eps)
+            except DomainError:  # the weight leaves float range
+                with pytest.raises(OverflowError):
+                    h_table_shell_weight(inst, beta, epsilon=eps)
+                continue
+            want = h_table_shell_weight(inst, beta, epsilon=eps)
+            assert got == want
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+            compared += 1
+    assert compared > 200
+    assert low_energy_shell_weight(build_example("6.5"), 0.7) == 0.0
+
+
+def test_shell_budget_matches_both_inline_cuts():
+    # the oracle's cut was min(floor((E - offset) * scale), budget), with
+    # offset 0 at n = 0; the sampled verify rows' cut had no min and no
+    # n = 0 case
+    rng = random.Random(1608)
+    for _ in range(200):
+        inst = random_instance(rng, s_max=9, n_max=40)
+        eps = rng.choice([-0.4, 0.0, 0.1, 0.25, 0.4, 1.0])
+        offset = float(inst.n) ** (0.5 + eps)
+        threshold = inst.effective_budget - Fraction(offset)
+        budget = inst.effective_budget_scaled()
+        oracle_cut = min(math.floor(threshold * inst.scale), budget)
+        sampled_cut = math.floor(threshold * inst.scale)
+        assert shell_budget(inst, eps) == oracle_cut == sampled_cut
+    no_units = build_instance(["1", "2", "3"], 2, 2, "12")
+    assert shell_budget(no_units, 0.25) == 0
+
+
+@pytest.mark.parametrize("epsilon", [1000.0, math.inf, math.nan])
+def test_shell_cut_beyond_float_range_is_an_input_error(epsilon):
+    # n^(1/2 + epsilon) overflows before any walk, as the band n^(3/4 +
+    # epsilon) does in deviation_band
+    with pytest.raises(InputError, match="shell cut"):
+        low_energy_shell_weight(unit_price_family(6), 0.0, epsilon=epsilon)
 
 
 def test_sampling_acceptance_rate_hand_case():

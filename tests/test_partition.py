@@ -29,6 +29,7 @@ from bealloc.partition import (
     DP_MAX_UNITS,
     NEGLIGIBLE_LOG_RATIO,
     _contour_product,
+    geometric_prefix_sums,
     resolved_tilts,
     z_profile,
 )
@@ -76,6 +77,22 @@ def test_z_profile_prefix_is_bit_identical(beta, more_prices):
         # the doubling copy is the instance built with k units directly
         assert inst_k == build_instance(prices, 0, k, None)
         assert z_exact(inst_k, beta, long) == z_exact(inst_k, beta)
+
+
+def test_geometric_prefix_sums_hand_rows():
+    # from the unit row, modes of ratio 1/2 then 1/4: after the first,
+    # z(k) = 2^-k; after the second, z(k) = sum_{a+b=k} 2^-a * 4^-b
+    rows = list(geometric_prefix_sums(3, [-LN2, -2.0 * LN2]))
+    assert len(rows) == 2
+    assert np.allclose(np.exp(rows[0]), [1.0, 0.5, 0.25, 0.125], rtol=1e-15,
+                       atol=0.0)
+    want = [sum(2.0**-a * 4.0**-(k - a) for a in range(k + 1))
+            for k in range(4)]
+    assert np.allclose(np.exp(rows[1]), want, rtol=1e-15, atol=0.0)
+    assert rows[0] is not rows[1]
+    # no mode: nothing to yield; zero units: the row [log 1]
+    assert list(geometric_prefix_sums(3, [])) == []
+    assert [r.tolist() for r in geometric_prefix_sums(0, [-1.0])] == [[0.0]]
 
 
 def test_z_profile_stops_at_the_unit_cap():
