@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ScaleMismatch
+from .errors import InputError, ScaleMismatch
 from .model import (
     DEFAULT_SCALE,
     InvestmentBounds,
@@ -57,14 +57,14 @@ def unit_price_family(
     the energy cut never binds.
     """
     if n < 2:
-        raise ValueError(f"family needs n >= 2, got {n}")
+        raise InputError(f"family needs n >= 2, got {n}")
     prices = [Fraction(1)] * n
     if budget == "mean":
         phi = Fraction(n * n, 2)
     elif budget == "slack":
         phi = Fraction(n * n)
     else:
-        raise ValueError(f"unknown budget placement {budget!r}")
+        raise InputError(f"unknown budget placement {budget!r}")
     return from_fractions(prices, 0, n, phi, scale)
 
 

@@ -28,12 +28,11 @@ The Fraction attributes (`prices`, `values`, `mode_weights`, `budget`,
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -47,8 +46,6 @@ from .errors import (
 )
 
 DEFAULT_SCALE = 10**6
-
-_DIGITS = "0123456789"
 
 
 def format_scaled(numerator: int, scale: int) -> str:
@@ -93,68 +90,31 @@ def parse_scaled_column(
 ) -> list[int]:
     """Parse decimal (or rational) strings into the integers value * scale.
 
-    A plain decimal (`12`, `12.5`, `.5`, `12.`, ASCII digits, surrounding
-    whitespace allowed) is read from its digits, as one column: a text is
-    plain when it is ASCII and all digits once its first dot is dropped,
-    one int() per text reads those digits, and one factor per fraction
-    length scales them. Every other form (signs, exponents, `a/b`,
-    underscores, non-ASCII digits, more digits than int() reads) goes
-    through parse_decimal, with its errors. Each value must be an integer
-    multiple of 1/scale, else ScaleMismatch. The first text, in column
-    order, that fails raises, labelled label(index).
+    One loop over the texts, in order. A plain decimal (`12`, `12.5`, `.5`,
+    `12.`: ASCII digits and at most one dot, surrounding whitespace allowed,
+    no more digits than int() reads) with digits d, dot dropped, and f of
+    them after the dot is read as value * scale = d * scale / 10^f. Every
+    other form (signs, exponents, `a/b`, underscores, non-ASCII digits,
+    longer digit strings) goes through parse_decimal, with its errors. Each
+    value must be an integer multiple of 1/scale, else ScaleMismatch. The
+    first text that fails raises, labelled label(index).
     """
-    items = list(map(str.strip, texts))
-    digits = list(map(str.replace, items, repeat("."), repeat(""), repeat(1)))
-    plain = list(map(operator.and_, map(str.isascii, items),
-                     map(str.isdigit, digits)))
-    # 0: no limit (Python 3.10 before 3.10.7); longer digits are left to
-    # the Fraction route, which reads them or fails as parse_decimal does
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit:
-        short = map(limit.__ge__, map(len, digits))
-        plain = list(map(operator.and_, plain, short))
-    values, bad = _read_plain(
-        list(compress(items, plain)), list(compress(digits, plain)), scale
-    )
-    if bad is None:
-        stop = len(texts)
-    else:  # the index of the bad-th plain text
-        stop = next(islice(compress(count(), plain), bad, None))
-    for i in compress(range(stop), map(operator.not_, plain)):
-        values.insert(i, int(parse_decimal(texts[i], scale, label(i)) * scale))
-    if bad is not None:
-        raise _scale_mismatch(texts[stop], scale, label(stop))
+    # 0 means no limit (Python 3.10 before 3.10.7); longer digits are left
+    # to parse_decimal, which reads them or fails
+    limit = getattr(sys, "get_int_max_str_digits", int)() or math.inf
+    values = []
+    for i, text in enumerate(texts):
+        item = str.strip(text)
+        whole, _, frac = item.partition(".")
+        digits = whole + frac
+        if item.isascii() and digits.isdigit() and len(digits) <= limit:
+            value, rest = divmod(int(digits) * scale, 10 ** len(frac))
+            if rest:
+                raise _scale_mismatch(text, scale, label(i))
+        else:
+            value = int(parse_decimal(text, scale, label(i)) * scale)
+        values.append(value)
     return values
-
-
-def _read_plain(
-    items: list[str], digits: list[str], scale: int
-) -> tuple[list[int], Optional[int]]:
-    """value * scale of stripped plain decimals, given each one's digits
-    without the dot, and the index of the first one that is not a
-    multiple of 1/scale (None if there is none).
-
-    An item with f fraction digits is d / 10^f for its digits d, so
-    value * scale = (d / den) * mult with den = 10^f / g, mult = scale / g
-    and g = gcd(10^f, scale): exact when den divides d. The digits are
-    streamed into the products; they are kept as a column only when some
-    den > 1, to find the first one that den does not divide.
-    """
-    # 0 for an item without a dot, else 1 + its fraction length
-    keys = list(map(len, map(str.lstrip, items, repeat(_DIGITS))))
-    numbers: Iterable[int] = map(int, digits)
-    den, mult = {}, {}
-    for key in set(keys):
-        ten = 10 ** max(key - 1, 0)
-        g = math.gcd(ten, scale)
-        den[key], mult[key] = ten // g, scale // g
-    bad = None
-    if max(den.values(), default=1) > 1:
-        numbers = list(numbers)
-        rests = map(operator.mod, numbers, map(den.__getitem__, keys))
-        bad = next(compress(count(), rests), None)
-        numbers = map(operator.floordiv, numbers, map(den.__getitem__, keys))
-    return list(map(operator.mul, numbers, map(mult.__getitem__, keys))), bad
 
 
 @dataclass(frozen=True)

@@ -263,7 +263,10 @@ def count_configurations(
 
 
 def deviation_band(n: int, epsilon: float = 0.0) -> float:
-    """The concentration band delta = n^(3/4 + epsilon); 0.0 at n = 0."""
+    """The concentration band delta = n^(3/4 + epsilon); 0.0 at n = 0.
+    A non-finite epsilon raises InputError at any n."""
+    if not math.isfinite(epsilon):
+        raise InputError(f"epsilon must be finite, got {epsilon}")
     if not n:
         return 0.0
     try:
@@ -401,13 +404,15 @@ def low_energy_shell_weight(
     float range raises InputError). At beta = 0 the weight is the exact
     count ratio; a weight beyond float range raises DomainError. total, if
     given, is |M| as an earlier walk counted it (`cumulative_stats`), and
-    is not counted again.
+    is not counted again; a negative total raises InputError.
     """
     check_cap(instance, cap)
     cut = shell_budget(instance, epsilon)
     lams = instance.mode_weights_scaled()
     if total is None:
         total = _count(lams, instance.n, instance.effective_budget_scaled())
+    elif total < 0:
+        raise InputError(f"total must be nonnegative, got {total}")
     if total == 0:
         raise DegenerateBoundary("configuration set is empty")
     if beta == 0.0:

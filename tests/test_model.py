@@ -1,8 +1,10 @@
 """Instance construction, validation, and exact arithmetic."""
 
+import gc
 import inspect
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
@@ -216,6 +218,24 @@ def test_parse_scaled_column_raises_at_the_first_failing_price(
     with pytest.raises(InputError) as info:
         parse_scaled_column(texts, 10**6, price_label)
     assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_parse_scaled_column_holds_no_column_sized_temporaries():
+    # 5000 prices in whole cents, the shape of perfbench's solve prices: the
+    # peak while parsing stays near what the returned list itself holds
+    rng = random.Random(5)
+    cents = [rng.randint(1, 10000) for _ in range(5000)]
+    texts = [f"{c // 100}.{c % 100:02d}" for c in cents]
+    gc.disable()
+    tracemalloc.start()
+    try:
+        values = parse_scaled_column(texts, 10**6, price_label)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert values == [c * 10**4 for c in cents]
+    assert peak <= 1.5 * kept, (peak, kept)
 
 
 def test_build_instance_reads_a_one_shot_iterable():

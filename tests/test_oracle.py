@@ -34,6 +34,7 @@ from bealloc import (
     unconstrained_count,
     unit_price_family,
 )
+from bealloc import oracle
 from bealloc.oracle import (
     DEFAULT_CAP,
     EnsembleStats,
@@ -470,6 +471,41 @@ def test_shell_cut_beyond_float_range_is_an_input_error(epsilon):
     # epsilon) does in deviation_band
     with pytest.raises(InputError, match="shell cut"):
         low_energy_shell_weight(unit_price_family(6), 0.0, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+def test_non_finite_epsilon_is_an_input_error(epsilon, monkeypatch):
+    # rejected at any n, and before the statistics walk starts
+    for n in (0, 1, 6):
+        with pytest.raises(InputError, match="epsilon must be finite"):
+            deviation_band(n, epsilon)
+    inst = build_instance(["1", "2", "3", "1.5"], 0, 5, "14")
+    params = solve_params(inst)
+
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(oracle, "_walk", no_walk)
+    with pytest.raises(InputError, match="epsilon must be finite"):
+        cumulative_stats(inst, params, 3, epsilon=epsilon)
+
+
+def test_shell_weight_rejects_a_negative_total():
+    inst = unit_price_family(6)
+    with pytest.raises(InputError, match="total must be nonnegative"):
+        low_energy_shell_weight(inst, 0.5, total=-1)
+    with pytest.raises(DegenerateBoundary):
+        low_energy_shell_weight(inst, 0.5, total=0)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1,), "family needs n >= 2, got 1"),
+    ((6, "middle"), "unknown budget placement 'middle'"),
+])
+def test_unit_price_family_raises_input_errors(args, message):
+    with pytest.raises(InputError) as info:
+        unit_price_family(*args)
+    assert str(info.value) == message
 
 
 def test_sampling_acceptance_rate_hand_case():
