@@ -343,7 +343,10 @@ def cmd_zcheck(args: argparse.Namespace) -> dict:
     # the recurrence would only end in a misleading pole error; its largest
     # tilt k*beta*(lambda_j - lambda_p) is at k = 4n and the widest gap
     lams, scale = inst.weights.numerators, inst.scale
-    lam2 = lams[1] / scale
+    try:
+        lam2 = lams[1] / scale
+    except OverflowError:
+        raise InputError("lambda_2 exceeds float range") from None
     if not math.isfinite(beta * lam2):
         raise InputError(
             f"--beta {beta} overflows beta * lambda_2 (lambda_2 = {lam2})"

@@ -19,6 +19,24 @@ runs for Z (`partition.geometric_prefix_sums`).
 `enumerate --l` takes |M| from the statistics walk and runs no separate
 count walk.
 
+The walk's last two modes are closed too. A suffix from the penultimate
+mode puts v = 0..vmax units there and the rest on the last mode, whose
+completion always fits, so each aggregate supplies the join of those
+vmax + 1 closed forms in closed form (`_walk`'s pair): vmax + 1 members,
+their statistics from one triangular number and a base-2^w repunit, and
+the shell weight as the join of a slice of the last mode's table row. That
+level of the recursion makes no calls and no memo entries. A suffix's
+closed form depends only on its mode and units, so each walk computes it
+once per (mode, units) and keeps it, in at most m * (n + 1) slots.
+
+The sampler draws a proposal as n + m - 1 uniform values, whose m - 1
+smallest mark the bars of a stars-and-bars composition. It reads the bars
+off one value sort per chunk: the (m-1)-th smallest value of a row is its
+threshold, and the positions at or below it, in order, are the row's bars
+(a tie at a threshold falls back to argpartition). A proposal's scaled
+energy is linear in its bar positions, so acceptance is decided on the
+bars, and only the accepted rows are turned into compositions.
+
 The statistics walk packs a suffix's S_l histogram and its per-mode totals
 into one int each, a polynomial evaluated at 2^w (Kronecker substitution):
 hist = sum of c_a * 2^(w*a), where c_a counts the suffix's completions
@@ -197,6 +215,7 @@ def _walk(
     budget: int,
     fits: Callable[[int, int], _T],
     join: Callable[[int, list[_T]], _T],
+    pair: Callable[[int, int], _T],
 ) -> _T:
     """Aggregate over the compositions of n over lams with energy <= budget.
 
@@ -204,23 +223,40 @@ def _walk(
     completion fits; join(i, kids) combines kids[v], the aggregates of the
     suffix after v units on mode i, v = 0..vmax. Below the root the cheapest
     completion always fits, so kids is empty only when nothing fits at all.
+    pair(units, vmax) is the closed form of join(m - 2, [fits(m - 1,
+    units - v) for v in 0..vmax]): v units on the penultimate mode, the
+    rest on the last, whose completion always fits. fits depends on (i,
+    units) only, so each walk calls it once per (i, units) and keeps the
+    result.
     """
     lmin = lams[-1]
     if n * lmin > budget:
         return join(0, [])
+    penult = len(lams) - 2
+    stride = n + 1
+    # fits by slot i * stride + units: a dict, since a walk may visit few
+    # of the m * (n + 1) slots, and n may be large when m is small
+    fitted: dict[int, _T] = {}
     memo: dict[tuple[int, int, int], _T] = {}
 
     def rec(i: int, units: int, left: int) -> _T:
         # precondition: the cheapest completion fits (units * lmin <= left)
-        if units * lams[i] <= left:
-            return fits(i, units)
+        lam = lams[i]
+        if units * lam <= left:
+            slot = i * stride + units
+            got = fitted.get(slot)
+            if got is None:
+                got = fitted[slot] = fits(i, units)
+            return got
+        span = lam - lmin  # > 0 here, else the first cut would have fired
+        # vmax < units, since the most expensive completion overshoots
+        vmax = (left - units * lmin) // span
+        if i == penult:
+            return pair(units, vmax)
         key = (i, units, left)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        lam = lams[i]
-        span = lam - lmin  # > 0 here, else the first cut would have fired
-        vmax = min(units, (left - units * lmin) // span)
         # a loop, not a comprehension: before Python 3.12 a comprehension
         # turns rec's locals into closure cells, 1.3x slower on the count
         kids: list[_T] = []
@@ -232,9 +268,9 @@ def _walk(
     try:
         return rec(0, n, budget)
     finally:
-        # rec's closure holds rec itself; breaking that cycle frees the memo
-        # and whatever fits and join hold now, not at the next cyclic
-        # garbage collection
+        # rec's closure holds rec itself; breaking that cycle frees the memo,
+        # the fits table and whatever fits and join hold now, not at the
+        # next cyclic garbage collection
         rec = None  # type: ignore[assignment]
 
 
@@ -247,6 +283,7 @@ def _count(lams: tuple[int, ...], n: int, budget: int) -> int:
         budget,
         lambda i, units: math.comb(units + m - i - 1, m - i - 1),
         lambda i, kids: sum(kids),
+        lambda units, vmax: vmax + 1,
     )
 
 
@@ -366,8 +403,24 @@ def cumulative_stats(
             rest += t
         return count, hist, first + (rest << w)
 
+    # v = 0..vmax units on the penultimate mode, the rest on the last: the
+    # join of the last mode's fits, (1, 1 or 2^(w*(units - v)), units - v)
+    penult = len(lams) - 2
+    repunit = (1 << w) - 1
+
+    def pair(units: int, vmax: int) -> tuple[int, int, int]:
+        count = vmax + 1
+        first = vmax * count >> 1
+        if lead <= penult:  # neither mode counts into S_l
+            hist = count
+        elif lead == penult + 1:  # only the penultimate one does
+            hist = ((1 << w * count) - 1) // repunit
+        else:  # both do: S_l = units whatever v is
+            hist = count << w * units
+        return count, hist, first + ((count * units - first) << w)
+
     budget = instance.effective_budget_scaled()
-    total, hist, totals = _walk(lams, n, budget, fits, join)
+    total, hist, totals = _walk(lams, n, budget, fits, join, pair)
     if total == 0:
         raise DegenerateBoundary("configuration set is empty")
 
@@ -435,8 +488,15 @@ def low_energy_shell_weight(
         top = max(terms)
         return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
+    # the last mode's fits, as the floats that fits returns
+    last = table[-1].tolist()
+    penult = len(lams) - 2
+
+    def pair(units: int, vmax: int) -> float:
+        return join(penult, last[units - vmax : units + 1][::-1])
+
     log_weight = _walk(
-        lams, instance.n, cut, lambda i, u: float(table[i][u]), join
+        lams, instance.n, cut, lambda i, u: float(table[i][u]), join, pair
     )
     try:
         return math.exp(log_weight - math.log(total))
@@ -456,18 +516,61 @@ def scaled_energies(instance: ProblemInstance, parts: np.ndarray) -> np.ndarray:
     return parts @ np.array(lams, dtype=np.int64)
 
 
+def _bar_weights(
+    lams: tuple[int, ...], slots: int
+) -> tuple[np.ndarray, int]:
+    """(diffs, const) with scaled energy = bars @ diffs + const for the
+    composition whose m - 1 bars sit at sorted slot positions bars.
+
+    diffs_j = lambda_j - lambda_(j+1) > 0 and every bar is at most
+    slots - 1, so |bars @ diffs| <= (slots - 1) * (lambda_first -
+    lambda_last), every partial sum included. diffs is int64 while that
+    bound plus |const| is below 2^63, else an object array of Python ints.
+    """
+    diffs = [a - b for a, b in zip(lams, lams[1:])]
+    const = lams[-1] * (slots - 1) - sum(lams[1:-1])
+    if (slots - 1) * (lams[0] - lams[-1]) + abs(const) < 2**63:
+        return np.array(diffs, dtype=np.int64), const
+    return np.array(diffs, dtype=object), const
+
+
+def _sorted_bars(u: np.ndarray, k: int) -> np.ndarray:
+    """Column positions of the k smallest values of each row of u, in
+    increasing order: the entries at or below the row's k-th smallest
+    value, read off one value sort and one mask. A tie at that value puts
+    more than k entries under it; such a chunk takes argpartition."""
+    rows, slots = u.shape
+    # a copy, so the sorted matrix is freed at once
+    threshold = np.sort(u, axis=1)[:, k - 1].copy()
+    flat = np.flatnonzero(u <= threshold[:, None])
+    if flat.size != rows * k:
+        return np.sort(np.argpartition(u, k - 1, axis=1)[:, :k], axis=1)
+    bars = flat.reshape(rows, k)
+    bars -= np.arange(0, rows * slots, slots)[:, None]
+    return bars
+
+
+def _parts_from_bars(bars: np.ndarray, slots: int) -> np.ndarray:
+    """The compositions whose m - 1 bars sit at the sorted positions bars."""
+    first = bars[:, :1]
+    middle = bars[:, 1:] - bars[:, :-1] - 1
+    last = (slots - 1) - bars[:, -1:]
+    return np.concatenate([first, middle, last], axis=1)
+
+
 def sample_uniform(
     instance: ProblemInstance, count: int, seed: int = 0
 ) -> SampleResult:
     """Uniform rejection sampling from M, deterministic per seed.
 
     Proposals are uniform compositions drawn by the stars-and-bars bijection
-    (a uniform (m-1)-subset of n+m-1 slot positions); a proposal is accepted
-    iff its exact scaled energy fits the budget. The first count accepted
-    draws are returned as the rows of SampleResult.parts; the last chunk's
-    accepted draws past count still enter the acceptance rate. Raises
-    LowAcceptance when fewer than 1 in 10^4 proposals survive a 10^5-trial
-    pilot.
+    (a uniform (m-1)-subset of n+m-1 slot positions: those of the m-1
+    smallest of n+m-1 uniform values); a proposal is accepted iff its exact
+    scaled energy, read from its bar positions, fits the budget. The first
+    count accepted draws are returned as the rows of SampleResult.parts;
+    the last chunk's accepted draws past count still enter the acceptance
+    rate. Raises LowAcceptance when fewer than 1 in 10^4 proposals survive
+    a 10^5-trial pilot.
     """
     check_sampling(count, seed)
     m = instance.size - 1
@@ -476,23 +579,20 @@ def sample_uniform(
     accepted = drawn = 0
     budget = instance.effective_budget_scaled()
     rng = np.random.default_rng(seed)
+    slots = n + m - 1
+    single = n == 0 or m == 1  # M has one composition at most: no bars
+    if not single:
+        diffs, const = _bar_weights(instance.mode_weights_scaled(), slots)
     while accepted < count:
-        if n == 0:
-            parts_mat = np.zeros((_CHUNK, m), dtype=np.int64)
-        elif m == 1:
-            parts_mat = np.full((_CHUNK, 1), n, dtype=np.int64)
+        if single:
+            parts_mat = np.full((_CHUNK, m), n, dtype=np.int64)
+            ok = parts_mat[scaled_energies(instance, parts_mat) <= budget]
+            kept.append(ok[: count - accepted])
         else:
-            slots = n + m - 1
-            u = rng.random((_CHUNK, slots))
-            bars = np.sort(
-                np.argpartition(u, m - 2, axis=1)[:, : m - 1], axis=1
-            )
-            first = bars[:, :1]
-            middle = bars[:, 1:] - bars[:, :-1] - 1
-            last = (slots - 1) - bars[:, -1:]
-            parts_mat = np.concatenate([first, middle, last], axis=1)
-        ok = parts_mat[scaled_energies(instance, parts_mat) <= budget]
-        kept.append(ok[: count - accepted])
+            bars = _sorted_bars(rng.random((_CHUNK, slots)), m - 1)
+            energies = bars.astype(diffs.dtype, copy=False) @ diffs + const
+            ok = bars[energies <= budget]
+            kept.append(_parts_from_bars(ok[: count - accepted], slots))
         accepted += len(ok)
         drawn += _CHUNK
         if drawn >= _PILOT_TRIALS and accepted < count:

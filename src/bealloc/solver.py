@@ -50,6 +50,7 @@ from .errors import (
     DegenerateBoundary,
     DomainError,
     IndexRange,
+    InputError,
     NoConvergence,
     RepairFailed,
 )
@@ -141,14 +142,22 @@ def mode_offsets(instance: ProblemInstance, beta: float) -> ModeOffsets:
     """Offsets from the pole mode of a beta of this sign (lambda_2 for
     beta < 0, else lambda_s), so that x_j >= x0 on every mode.
 
-    Built once per instance and pole side; d is read-only.
+    Built once per instance and pole side; d is read-only. Raises
+    InputError when an offset, in scaled units, is past float range.
     """
     memo = instance._offsets_memo
     side = beta < 0
     if side not in memo:
         scaled = instance.mode_weights_scaled()
         p = 0 if side else len(scaled) - 1
-        d = np.array(list(map(operator.sub, scaled, repeat(scaled[p]))), float)
+        offsets = list(map(operator.sub, scaled, repeat(scaled[p])))
+        try:
+            d = np.array(offsets, float)
+        except OverflowError:
+            raise InputError(
+                "mode weight offsets exceed float range at scale "
+                f"{instance.scale}"
+            ) from None
         d /= instance.scale
         d.flags.writeable = False
         memo[side] = ModeOffsets(d, Fraction(scaled[p], instance.scale))

@@ -690,6 +690,63 @@ def test_zcheck_extreme_finite_beta_keeps_its_pole_error(capsys, prices_file):
     assert err.startswith("error: sigma (nu) = ") and err.count("\n") == 1
 
 
+WIDE_OFFSET_PRICES = {
+    # lambda_2 - lambda_3 = 1e303 * 10^6 scaled units: no float
+    "1e303": ["1", "1e303", "2"],
+    # a price of 4300 nines, the longest text int() reads
+    "4300 nines": ["1", "9" * 4300, "2"],
+}
+
+
+OFFSET_ERROR = (
+    "error: mode weight offsets exceed float range at scale 1000000\n"
+)
+OFFSET_CASES = [
+    pytest.param(name, flags, OFFSET_ERROR, id=f"{name} {flags[0]} {flags[1]}")
+    for name, flags in [
+        ("1e303", ["solve", "--budget", "20"]),
+        ("1e303", ["enumerate", "--budget", "20", "--l", "2"]),
+        ("1e303", ["zcheck", "--budget", "20"]),
+        ("1e303", ["zcheck", "--beta", "0.5"]),
+        ("4300 nines", ["solve", "--budget", "20"]),
+        ("4300 nines", ["zcheck", "--budget", "20"]),
+    ]
+] + [
+    # lambda_2 itself is past float range here
+    pytest.param("4300 nines", ["zcheck", "--beta", "0.5"],
+                 "error: lambda_2 exceeds float range\n",
+                 id="4300 nines zcheck --beta"),
+]
+
+
+@pytest.mark.parametrize("name, flags, message", OFFSET_CASES)
+def test_mode_offsets_past_float_range_are_an_input_error(
+    capsys, tmp_path, name, flags, message
+):
+    path = tmp_path / "wide.csv"
+    path.write_text("".join(f"{p}\n" for p in WIDE_OFFSET_PRICES[name]))
+    command, *rest = flags
+    code, out, err = run(
+        capsys,
+        [command, "--prices", str(path), "--min-shares", "0",
+         "--max-shares", "4", *rest],
+    )
+    assert (code, out, err) == (4, "", message)
+
+
+def test_enumerate_without_l_counts_wide_offsets_exactly(capsys, tmp_path):
+    # the count walk stays in exact integers: no float, no error
+    path = tmp_path / "wide.csv"
+    path.write_text("1\n1e303\n2\n")
+    code, out, err = run(
+        capsys,
+        ["enumerate", "--prices", str(path), "--min-shares", "0",
+         "--max-shares", "4", "--budget", "20"],
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["total_count"] == "1"
+
+
 class UnlistedError(AllocError):
     """An error the exit-code table does not name."""
 
@@ -988,3 +1045,42 @@ def test_zcheck_matches_the_golden_catalog(capsys, tmp_path):
                 )
             checked += 1
     assert checked == 75
+
+
+# sha256 of the stdout of every golden crosscheck job (`enumerate --l
+# --samples 10000`) and of `verify --samples 2000`, at seeds 1 and 2,
+# recorded before the statistics walk closed its last two modes in closed
+# form and the sampler read its bars off a per-row threshold.
+CROSSCHECK_SHA256 = json.loads(
+    (Path(__file__).parent / "data" / "crosscheck_digests.json").read_text()
+)
+
+
+def test_crosscheck_matches_the_golden_catalog(capsys, tmp_path):
+    catalog = json.loads(GOLDEN.read_text())["crosscheck"]
+    assert len(catalog) == 15
+    digests = {}
+    for seed in (1, 2):
+        for entry in catalog:
+            path = tmp_path / f"{entry['id']}.csv"
+            path.write_text("".join(f"{p}\n" for p in entry["prices"]))
+            code, out, err = run(
+                capsys,
+                ["enumerate", "--prices", str(path), "--min-shares", "0",
+                 "--max-shares", str(entry["n"]), "--budget", entry["budget"],
+                 "--l", str(entry["l"]), "--samples", "10000",
+                 "--seed", str(seed)],
+            )
+            assert (code, err) == (0, ""), entry["id"]
+            assert json.loads(out)["total_count"] == entry["total_count"]
+            digests[f"{entry['id']} seed {seed}"] = hashlib.sha256(
+                out.encode()
+            ).hexdigest()
+        code, out, err = run(
+            capsys, ["verify", "--samples", "2000", "--seed", str(seed)]
+        )
+        assert (code, err) == (0, "")
+        digests[f"verify seed {seed}"] = hashlib.sha256(
+            out.encode()
+        ).hexdigest()
+    assert digests == CROSSCHECK_SHA256

@@ -219,8 +219,13 @@ def reference_stats(instance, params, l, epsilon=0.0, cap=DEFAULT_CAP):
                 totals[1 + t] += val
         return count, dict(hist), totals
 
+    def pair(units, vmax):
+        # the generic join of the last mode's fits, no closed form
+        return join(len(lams) - 2,
+                    [fits(len(lams) - 1, units - v) for v in range(vmax + 1)])
+
     budget = instance.effective_budget_scaled()
-    total, hist, totals = _walk(lams, instance.n, budget, fits, join)
+    total, hist, totals = _walk(lams, instance.n, budget, fits, join, pair)
     if total == 0:
         raise DegenerateBoundary("configuration set is empty")
     center = predicted_cumulative(instance, params, l)
@@ -411,9 +416,14 @@ def h_table_shell_weight(inst, beta, epsilon=0.25):
         top = max(terms)
         return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
-    log_weight = _walk(
-        lams, inst.n, cut, lambda i, u: float(table[i][u]), join
-    )
+    def fits(i, u):
+        return float(table[i][u])
+
+    def pair(units, vmax):
+        return join(len(lams) - 2,
+                    [fits(len(lams) - 1, units - v) for v in range(vmax + 1)])
+
+    log_weight = _walk(lams, inst.n, cut, fits, join, pair)
     return math.exp(log_weight - math.log(total))
 
 
@@ -637,6 +647,87 @@ def test_sampler_matches_the_row_loop(case):
             result.parts[0, 0] = 1
 
 
+class TiedGenerator:
+    """numpy's generator for a seed, except that the first chunk it draws
+    ties row 0's (bars + 1)-th smallest value to its bars-th smallest."""
+
+    def __init__(self, real, seed, bars):
+        self._rng = real(seed)
+        self._bars = bars
+        self._tied = False
+
+    def random(self, shape):
+        u = self._rng.random(shape)
+        if not self._tied:
+            self._tied = True
+            order = np.argsort(u[0])
+            u[0, order[self._bars]] = u[0, order[self._bars - 1]]
+        return u
+
+
+def test_sampler_takes_argpartition_on_a_tie_at_the_threshold(monkeypatch):
+    # two chunks of 20,000 proposals (acceptance ~0.13): the tied first
+    # chunk holds m bars at or below row 0's threshold, one too many for
+    # the mask, and takes argpartition; the second chunk does not
+    inst = random_instance(random.Random(21), 12, 12)
+    m = inst.size - 1
+    real_rng, real_argpartition = np.random.default_rng, np.argpartition
+    calls = []
+
+    def counting_argpartition(*args, **kwargs):
+        calls.append(None)
+        return real_argpartition(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argpartition", counting_argpartition)
+    monkeypatch.setattr(
+        np.random, "default_rng",
+        lambda seed: TiedGenerator(real_rng, seed, m - 1),
+    )
+    u = np.random.default_rng(3).random((4, inst.n + m - 1))
+    threshold = np.sort(u, axis=1)[:, m - 2]
+    assert np.count_nonzero(u <= threshold[:, None]) == 4 * (m - 1) + 1
+    assert oracle._sorted_bars(u, m - 1).tolist() == np.sort(
+        real_argpartition(u, m - 2, axis=1)[:, : m - 1], axis=1
+    ).tolist()
+    calls.clear()
+    result = sample_uniform(inst, 3000, seed=5)
+    assert len(calls) == 1
+    comps, rate = reference_sample(inst, 3000, 5)
+    assert result.acceptance_rate == rate
+    assert result.compositions == comps
+
+
+def bar_energy_instance(past):
+    """m = 3 modes, n = 3 at scale 1, whose bar-energy bound (slots - 1) *
+    (lambda_first - lambda_last) + |const| is 2^63 - 1 + past, with const
+    = lambda_last * (slots - 1) - lambda_2 (the middle mode's weight)."""
+    # lambda = (l0, l1, 1), slots = 5: bound = 4 * l0 + l1 - 8, with l1
+    # chosen so that 4 divides 2^63 + 7 + past - l1
+    l1 = 2**60 + 3 - 3 * past
+    l0 = (2**63 + 7 + past - l1) // 4
+    prices = ["1", str(l0 - l1), str(l1 - 1), "1"]
+    return build_instance(prices, 0, 3, str(l0 + l1), scale=1)
+
+
+@pytest.mark.parametrize("past", [0, 1])
+def test_sampler_bar_energies_past_int64_use_python_ints(past):
+    inst = bar_energy_instance(past)
+    lams = inst.mode_weights_scaled()
+    slots = inst.n + len(lams) - 1
+    const = lams[-1] * (slots - 1) - sum(lams[1:-1])
+    bound = (slots - 1) * (lams[0] - lams[-1]) + abs(const)
+    assert bound == 2**63 - 1 + past
+    diffs, got_const = oracle._bar_weights(lams, slots)
+    assert got_const == const
+    assert diffs.dtype == (object if past else np.int64)
+    for seed in (0, 9):
+        result = sample_uniform(inst, 500, seed)
+        comps, rate = reference_sample(inst, 500, seed)
+        assert 0 < rate < 1
+        assert result.acceptance_rate == rate
+        assert result.compositions == comps
+
+
 def test_sample_result_equality_and_hash():
     inst = build_example("9")
     a = sample_uniform(inst, 50, seed=3)
@@ -661,17 +752,31 @@ def test_sampling_with_weights_past_int64(k, m, budget):
 
 
 def test_walks_free_their_memo_without_a_gc_pass():
-    # the memoized walk's recursion is a reference cycle; its memo must not
-    # wait for the cyclic collector to be freed
+    # the memoized walk's recursion is a reference cycle; its memo and its
+    # fits table must not wait for the cyclic collector to be freed
     inst = unit_price_family(15, "mean")
     params = solve_params(inst)
+    golden, _ = golden_crosscheck()[13]  # the largest |M|, 2,647,857
+    lams = inst.mode_weights_scaled()
+    fitted = []
+
+    def fits(i, units):
+        # 8 kB per slot of the table: a kept table would hold > 200 kB
+        fitted.append(None)
+        return bytes(8192)
+
     gc.disable()
     tracemalloc.start()
     try:
         count_configurations(inst)
         cumulative_stats(inst, params, 8)
+        low_energy_shell_weight(inst, 0.05)
+        count_configurations(golden)
+        _walk(lams, inst.n, inst.effective_budget_scaled(), fits,
+              lambda i, kids: kids[0], lambda units, vmax: b"")
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
         gc.enable()
+    assert len(fitted) * 8192 > 200_000
     assert retained < 200_000
