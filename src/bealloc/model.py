@@ -49,11 +49,20 @@ DEFAULT_SCALE = 10**6
 
 
 def format_scaled(numerator: int, scale: int) -> str:
-    """str(Fraction(numerator, scale)) for scale > 0, without the Fraction."""
+    """str(Fraction(numerator, scale)) for scale > 0, without the Fraction.
+
+    A part longer than int()'s digit limit raises InputError.
+    """
     g = math.gcd(numerator, scale)
-    if g == scale:
-        return str(numerator // scale)
-    return f"{numerator // g}/{scale // g}"
+    try:
+        if g == scale:
+            return str(numerator // scale)
+        return f"{numerator // g}/{scale // g}"
+    except ValueError:
+        raise InputError(
+            f"a scaled value has more than {sys.get_int_max_str_digits()} "
+            "digits, the limit of int-to-string conversion"
+        ) from None
 
 
 def _scale_mismatch(text: str, scale: int, what: str) -> ScaleMismatch:

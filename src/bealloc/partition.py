@@ -38,19 +38,20 @@ with d2 the second nu-derivative of log zeta. A trapezoid quadrature of the
 exact contour integral over [-pi, pi] provides an independent cross-check
 that converges spectrally in the grid size; its integrand is a blocked,
 rescaled product with one logarithm per grid point (see `z_integral`).
+Each of the three returns log Z as a float.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .errors import CapExceeded, DomainError, InputError
 from .model import ProblemInstance
-from .solver import mode_offsets, occupancy_sums, solve_sigma
+from .solver import OccupancySums, mode_offsets, occupancy_sums, solve_sigma
 
 DP_MAX_UNITS = 10**4
 DP_MAX_MODES = 10**3
@@ -65,41 +66,12 @@ BLOCK_MODES = 16
 NEGLIGIBLE_LOG_RATIO = 70.0 * math.log(2.0)
 
 
-class ScaledReal(NamedTuple):
-    """value = mantissa * exp(exponent); keeps huge and tiny values exact."""
-
-    mantissa: float
-    exponent: int
-
-    @classmethod
-    def from_log(cls, log_value: float) -> "ScaledReal":
-        k = math.floor(log_value)
-        return cls(math.exp(log_value - k), k)
-
-    @property
-    def log(self) -> float:
-        if self.mantissa <= 0:
-            raise DomainError("log of a nonpositive scaled value")
-        return math.log(self.mantissa) + self.exponent
-
-
-@dataclass(frozen=True)
-class GrandPartition:
-    """log zeta and its first two nu-derivatives at one (beta, nu)."""
-
-    beta: float
-    nu: float
-    log_value: float
-    dlog_dnu: float
-    d2log_dnu2: float
-
-
 @dataclass(frozen=True)
 class PartitionEstimate:
-    """Exact and saddle-point values side by side."""
+    """Exact and saddle-point log Z side by side."""
 
-    z_exact: ScaledReal
-    z_saddle: ScaledReal
+    log_z_exact: float
+    log_z_saddle: float
     ratio: float
     nu_star: float
 
@@ -151,8 +123,10 @@ def z_profile(
     and k: a longer profile starts with every shorter one, bit for bit.
     Only instance's modes matter, not its n, and only those that
     `resolved_tilts` keeps. Raises CapExceeded past DP_MAX_MODES modes,
-    counting every mode.
+    counting every mode, and InputError for a negative n_max.
     """
+    if n_max < 0:
+        raise InputError(f"profile length n_max must be >= 0, got {n_max}")
     units = min(n_max, DP_MAX_UNITS)
     _check_caps(units, instance.size - 1)
     # log r = -beta*d <= 0 per mode; the pole energy beta*lambda_p*n is
@@ -167,32 +141,33 @@ def z_exact(
     instance: ProblemInstance,
     beta: float,
     profile: Optional[np.ndarray] = None,
-) -> ScaledReal:
-    """Exact restricted partition sum over all compositions of n units.
+) -> float:
+    """log Z of the exact restricted sum over all compositions of n units.
 
     profile, if given, is a `z_profile` of the same modes at the same beta
     that reaches n; its entry n is read instead of rerunning the recurrence.
+    A shorter profile raises InputError.
     """
     n = instance.n
     _check_caps(n, instance.size - 1)
     if profile is None:
         profile = z_profile(instance, beta, n)
+    elif profile.size <= n:
+        raise InputError(f"profile stops at k = {profile.size - 1} < n = {n}")
     pole = mode_offsets(instance, beta).pole
-    return ScaledReal.from_log(profile[n] - beta * float(pole) * n)
+    return float(profile[n]) - beta * float(pole) * n
 
 
 def grand_partition(
     instance: ProblemInstance, beta: float, nu: float
-) -> GrandPartition:
-    """log zeta(beta, nu) with its first two nu-derivatives.
+) -> OccupancySums:
+    """The solver's occupancy pass at (beta, nu < beta*lambda_j for all j).
 
-    Requires nu < beta*lambda_j for every mode. The summands are the
-    mode occupancies: dlog = sum occ, d2log = sum occ*(occ+1). One pass
-    of the solver's occupancy kernel in pole-offset coordinates.
+    log_zeta is log zeta(beta, nu); count = sum occ and curvature =
+    sum occ*(occ+1) are its first two nu-derivatives.
     """
     modes = mode_offsets(instance, beta)
-    sums = occupancy_sums(modes, beta, modes.x0(beta, nu))
-    return GrandPartition(beta, nu, sums.log_zeta, sums.count, sums.curvature)
+    return occupancy_sums(modes, beta, modes.x0(beta, nu))
 
 
 def saddle_nu(instance: ProblemInstance, beta: float) -> float:
@@ -207,20 +182,14 @@ def z_saddle(
     beta: float,
     profile: Optional[np.ndarray] = None,
 ) -> PartitionEstimate:
-    """Gaussian saddle-point estimate next to the exact recurrence value;
+    """Gaussian saddle-point log Z next to the exact recurrence value;
     profile is passed on to `z_exact`."""
     nu = saddle_nu(instance, beta)
-    gp = grand_partition(instance, beta, nu)
-    log_zs = -nu * instance.n + gp.log_value - 0.5 * math.log(
-        2.0 * math.pi * gp.d2log_dnu2
-    )
-    zx = z_exact(instance, beta, profile)
-    return PartitionEstimate(
-        z_exact=zx,
-        z_saddle=ScaledReal.from_log(log_zs),
-        ratio=math.exp(zx.log - log_zs),
-        nu_star=nu,
-    )
+    sums = grand_partition(instance, beta, nu)
+    log_zs = (-nu * instance.n + sums.log_zeta
+              - 0.5 * math.log(2.0 * math.pi * sums.curvature))
+    log_zx = z_exact(instance, beta, profile)
+    return PartitionEstimate(log_zx, log_zs, math.exp(log_zx - log_zs), nu)
 
 
 def check_grid(grid: int) -> None:
@@ -255,8 +224,8 @@ def _contour_product(
 
 def z_integral(
     instance: ProblemInstance, beta: float, nu: float, grid: int = 4096
-) -> ScaledReal:
-    """Trapezoid quadrature of the exact contour integral
+) -> float:
+    """log Z by trapezoid quadrature of the exact contour integral
 
         Z = exp(-nu*N)/(2*pi) * integral_{-pi}^{pi}
             exp(-i*N*alpha) * zeta(beta, nu + i*alpha) d(alpha).
@@ -290,4 +259,4 @@ def z_integral(
             f"quadrature collapsed to a nonpositive value ({value:.3e}); "
             "increase the grid"
         )
-    return ScaledReal.from_log(math.log(value) + shift - nu * n)
+    return math.log(value) + shift - nu * n

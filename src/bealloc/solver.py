@@ -143,8 +143,11 @@ def mode_offsets(instance: ProblemInstance, beta: float) -> ModeOffsets:
     beta < 0, else lambda_s), so that x_j >= x0 on every mode.
 
     Built once per instance and pole side; d is read-only. Raises
-    InputError when an offset, in scaled units, is past float range.
+    InputError for a non-finite beta, and when an offset, in scaled units,
+    is past float range.
     """
+    if not math.isfinite(beta):
+        raise InputError(f"beta must be finite, got {beta}")
     memo = instance._offsets_memo
     side = beta < 0
     if side not in memo:

@@ -734,6 +734,34 @@ def test_mode_offsets_past_float_range_are_an_input_error(
     assert (code, out, err) == (4, "", message)
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python's int() has no digit limit")
+@pytest.mark.parametrize("flags", [
+    ["enumerate", "--min-shares", "0"],
+    ["enumerate", "--min-shares", "0", "--l", "2"],
+    ["solve", "--min-shares", "1"],
+], ids=" ".join)
+def test_report_values_past_the_int_digit_limit_are_an_input_error(
+    capsys, tmp_path, flags
+):
+    # the 4306-digit scaled price cannot be printed in the report (or, for
+    # solve, in its BudgetInfeasible message)
+    path = tmp_path / "wide.csv"
+    prices = WIDE_OFFSET_PRICES["4300 nines"]
+    path.write_text("".join(f"{p}\n" for p in prices))
+    command, *rest = flags
+    code, out, err = run(
+        capsys,
+        [command, "--prices", str(path), "--max-shares", "4",
+         "--budget", "20", *rest],
+    )
+    assert (code, out) == (4, "")
+    assert err == (
+        f"error: a scaled value has more than {sys.get_int_max_str_digits()} "
+        "digits, the limit of int-to-string conversion\n"
+    )
+
+
 def test_enumerate_without_l_counts_wide_offsets_exactly(capsys, tmp_path):
     # the count walk stays in exact integers: no float, no error
     path = tmp_path / "wide.csv"

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import tracemalloc
+import warnings
 from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate
@@ -337,6 +338,24 @@ def test_shell_weight_beyond_float_range():
     inst = build_instance(["100"] * 8, 0, 8, "5000")
     with pytest.raises(DomainError):
         low_energy_shell_weight(inst, -0.5)
+
+
+@pytest.mark.parametrize("beta, outcome", [
+    (math.nan, InputError), (math.inf, InputError), (-math.inf, InputError),
+    (1e308, DomainError), (-1e308, DomainError),
+    (300.0, 0.0), (-300.0, DomainError),
+])
+def test_shell_weight_at_extreme_beta(beta, outcome):
+    # a non-finite beta is an input error; a finite one whose log weights or
+    # weight leave float range is a domain error; neither warns or gives NaN
+    inst = unit_price_family(6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(outcome, float):
+            assert low_energy_shell_weight(inst, beta) == outcome
+        else:
+            with pytest.raises(outcome):
+                low_energy_shell_weight(inst, beta)
 
 
 def test_shell_weight_hand_case():

@@ -1,10 +1,12 @@
 """Partition recurrence, grand partition, saddle point, contour quadrature."""
 
+import json
 import math
 import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,25 +108,23 @@ def test_z_profile_stops_at_the_unit_cap():
 
 def test_z_exact_beta_zero_counts_compositions():
     # every composition contributes 1: C(2 + 1, 1) = 3
-    zx = z_exact(build_example(), 0.0)
-    assert zx.mantissa * math.exp(zx.exponent) == pytest.approx(3.0, rel=1e-12)
-    assert zx.log == pytest.approx(math.log(3.0), rel=1e-12)
+    log_zx = z_exact(build_example(), 0.0)
+    assert math.exp(log_zx) == pytest.approx(3.0, rel=1e-12)
+    assert log_zx == pytest.approx(math.log(3.0), rel=1e-12)
 
 
 def test_z_exact_two_mode_hand_value():
     # weights (5, 3), one unit, beta 0.1: e^-0.5 + e^-0.3
     inst = build_instance(["1", "2", "3"], 0, 1, "5")
     expected = math.exp(-0.5) + math.exp(-0.3)
-    assert z_exact(inst, 0.1).log == pytest.approx(
+    assert z_exact(inst, 0.1) == pytest.approx(
         math.log(expected), rel=1e-12
     )
 
 
 def test_z_exact_empty_span_is_one():
     inst = from_fractions([Fraction(1), Fraction(2)], 1, 1, Fraction(3))
-    zx = z_exact(inst, 0.7)
-    assert zx.mantissa == 1.0
-    assert zx.exponent == 0
+    assert z_exact(inst, 0.7) == 0.0
 
 
 def test_z_exact_against_brute_force():
@@ -132,7 +132,7 @@ def test_z_exact_against_brute_force():
     for _ in range(30):
         inst = random_instance(rng, s_max=6, n_max=12)
         beta = rng.uniform(-1.0, 1.0)
-        assert z_exact(inst, beta).log == pytest.approx(
+        assert z_exact(inst, beta) == pytest.approx(
             brute_force_log_z(inst, beta), rel=1e-12, abs=1e-12
         )
 
@@ -165,7 +165,7 @@ def test_z_exact_matches_reference_loop():
         budget = decimal_string(n * Fraction(sum(cents), 100))
         inst = build_instance(prices, 0, n, budget)
         beta = (case % 3 - 1) * 10.0 ** rng.uniform(-4.0, 0.0)
-        assert z_exact(inst, beta).log == pytest.approx(
+        assert z_exact(inst, beta) == pytest.approx(
             reference_log_z(inst, beta), rel=1e-12, abs=1e-12
         )
 
@@ -176,7 +176,7 @@ def test_z_exact_beta_zero_at_the_caps():
     n, m = DP_MAX_UNITS, DP_MAX_MODES
     inst = build_instance(["1"] * (m + 1), 0, n, str(n * (m + 1)))
     assert inst.size - 1 == m
-    assert z_exact(inst, 0.0).log == pytest.approx(
+    assert z_exact(inst, 0.0) == pytest.approx(
         math.log(math.comb(n + m - 1, m - 1)), rel=1e-12
     )
 
@@ -191,9 +191,9 @@ def test_grand_partition_hand_value():
     gp = grand_partition(build_example(), 0.0, -LN2)
     # both occupancies are 1, so the count derivative is 2 and the
     # curvature sums occ*(occ+1) = 2 per mode
-    assert gp.dlog_dnu == pytest.approx(2.0, abs=1e-12)
-    assert gp.d2log_dnu2 == pytest.approx(4.0, abs=1e-12)
-    assert gp.log_value == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
+    assert gp.count == pytest.approx(2.0, abs=1e-12)
+    assert gp.curvature == pytest.approx(4.0, abs=1e-12)
+    assert gp.log_zeta == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
 
 def test_grand_partition_pole_rejected():
@@ -214,12 +214,12 @@ def test_grand_partition_derivative_identities():
         pole = min(beta * float(w) for w in inst.mode_weights)
         nu = pole - rng.uniform(0.05, 2.0)
         gp = grand_partition(inst, beta, nu)
-        lp = grand_partition(inst, beta, nu + h).log_value
-        lm = grand_partition(inst, beta, nu - h).log_value
+        lp = grand_partition(inst, beta, nu + h).log_zeta
+        lm = grand_partition(inst, beta, nu - h).log_zeta
         d1 = (lp - lm) / (2.0 * h)
-        d2 = (lp - 2.0 * gp.log_value + lm) / (h * h)
-        assert d1 == pytest.approx(gp.dlog_dnu, rel=1e-6, abs=1e-8)
-        assert d2 == pytest.approx(gp.d2log_dnu2, rel=1e-5, abs=1e-6)
+        d2 = (lp - 2.0 * gp.log_zeta + lm) / (h * h)
+        assert d1 == pytest.approx(gp.count, rel=1e-6, abs=1e-8)
+        assert d2 == pytest.approx(gp.curvature, rel=1e-5, abs=1e-6)
 
 
 def test_saddle_point_matches_sigma_solve():
@@ -235,7 +235,7 @@ def test_z_saddle_single_mode_closed_form():
     inst = from_fractions([Fraction(1), Fraction(1)], 0, n, Fraction(2 * n))
     beta = 0.8
     est = z_saddle(inst, beta)
-    assert est.z_exact.log == pytest.approx(-beta * n, rel=1e-12)
+    assert est.log_z_exact == pytest.approx(-beta * n, rel=1e-12)
     expected = (1.0 + 1.0 / n) ** (-n) * math.sqrt(2.0 * math.pi * n / (n + 1))
     assert est.ratio == pytest.approx(expected, rel=1e-7)
     assert abs(est.ratio - math.exp(-1.0) * math.sqrt(2.0 * math.pi)) < 0.01
@@ -250,7 +250,7 @@ def test_z_saddle_consistency_random():
         assert est.nu_star < beta * float(min(inst.mode_weights))
         assert est.ratio > 0.0
         assert est.ratio == pytest.approx(
-            math.exp(est.z_exact.log - est.z_saddle.log), rel=1e-12
+            math.exp(est.log_z_exact - est.log_z_saddle), rel=1e-12
         )
 
 
@@ -261,7 +261,7 @@ def test_z_integral_matches_exact():
     beta = 0.3
     nu = saddle_nu(inst, beta)
     zq = z_integral(inst, beta, nu, grid=4096)
-    assert zq.log == pytest.approx(z_exact(inst, beta).log, rel=1e-8, abs=1e-8)
+    assert zq == pytest.approx(z_exact(inst, beta), rel=1e-8, abs=1e-8)
 
 
 def test_z_integral_random_contours():
@@ -273,8 +273,8 @@ def test_z_integral_random_contours():
         pole = min(beta * float(w) for w in inst.mode_weights)
         nu = pole - rng.uniform(0.1, 1.0)
         zq = z_integral(inst, beta, nu, grid=4096)
-        assert zq.log == pytest.approx(
-            z_exact(inst, beta).log, rel=1e-7, abs=1e-7
+        assert zq == pytest.approx(
+            z_exact(inst, beta), rel=1e-7, abs=1e-7
         )
 
 
@@ -324,7 +324,7 @@ def test_z_integral_matches_reference_kernel(clusters, n, grid, cluster, sign):
     assert inst.size - 1 == clusters * cluster <= DP_MAX_MODES
     beta = sign * 10.0 ** rng.uniform(-4.0, -1.0)
     nu = saddle_nu(inst, beta)
-    assert z_integral(inst, beta, nu, grid).log == pytest.approx(
+    assert z_integral(inst, beta, nu, grid) == pytest.approx(
         reference_log_z_integral(inst, beta, nu, grid), rel=1e-12
     )
 
@@ -341,8 +341,8 @@ def test_z_integral_product_beyond_float_range():
     log_product = float(np.log(-np.expm1(-(beta * modes.d + x0))).sum())
     assert log_product < math.log(sys.float_info.min)
     zq = z_integral(inst, beta, nu)
-    assert math.isfinite(zq.log)
-    assert zq.log == pytest.approx(
+    assert math.isfinite(zq)
+    assert zq == pytest.approx(
         reference_log_z_integral(inst, beta, nu, 4096), rel=1e-12
     )
 
@@ -415,10 +415,10 @@ def test_skipped_modes_do_not_move_log_z(sign, n):
     kept = resolved_tilts(inst, beta)
     assert 1 <= kept.size < (inst.size - 1) // 2
     want = all_modes_log_z(inst, beta)
-    assert abs(z_exact(inst, beta).log - want) <= 1e-15 * max(1.0, abs(want))
+    assert abs(z_exact(inst, beta) - want) <= 1e-15 * max(1.0, abs(want))
     nu = saddle_nu(inst, beta)
     want = all_modes_log_z_integral(inst, beta, nu, 4096)
-    got = z_integral(inst, beta, nu, 4096).log
+    got = z_integral(inst, beta, nu, 4096)
     assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
 
 
@@ -428,9 +428,9 @@ def test_no_skipped_mode_is_bit_identical(beta):
     tilts = beta * mode_offsets(inst, beta).d
     assert tilts.max() < NEGLIGIBLE_LOG_RATIO
     assert np.array_equal(resolved_tilts(inst, beta), tilts)
-    assert z_exact(inst, beta).log == all_modes_log_z(inst, beta)
+    assert z_exact(inst, beta) == all_modes_log_z(inst, beta)
     nu = saddle_nu(inst, beta)
-    assert z_integral(inst, beta, nu, 4096).log == all_modes_log_z_integral(
+    assert z_integral(inst, beta, nu, 4096) == all_modes_log_z_integral(
         inst, beta, nu, 4096
     )
 
@@ -460,10 +460,46 @@ def test_cap_counts_skipped_modes():
         z_exact(inst, 1.0)
 
 
-def test_scaled_real_round_trip():
-    from bealloc import ScaledReal
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda inst, beta: z_profile(inst, beta, 4),
+    lambda inst, beta: z_exact(inst, beta),
+    lambda inst, beta: z_integral(inst, beta, -1.0),
+    lambda inst, beta: grand_partition(inst, beta, -1.0),
+    lambda inst, beta: z_saddle(inst, beta),
+    lambda inst, beta: saddle_nu(inst, beta),
+    lambda inst, beta: solve_sigma(inst, beta),
+], ids=["z_profile", "z_exact", "z_integral", "grand_partition", "z_saddle",
+        "saddle_nu", "solve_sigma"])
+def test_non_finite_beta_is_an_input_error(call, beta):
+    # every entry point reaches mode_offsets, which rejects beta first
+    with pytest.raises(InputError, match="beta must be finite"):
+        call(build_example(), beta)
 
-    for log_value in (-700.0, -1.0, 0.0, 3.5, 1000.0):
-        sr = ScaledReal.from_log(log_value)
-        assert 1.0 <= sr.mantissa < math.e + 1e-12
-        assert sr.log == pytest.approx(log_value, abs=1e-12)
+
+def test_profile_shorter_than_n_is_an_input_error():
+    inst = from_fractions([Fraction(1), Fraction(2), Fraction(3)], 0, 5,
+                          Fraction(30))
+    short = z_profile(inst, 0.5, 2)
+    with pytest.raises(InputError, match="profile stops at k = 2 < n = 5"):
+        z_exact(inst, 0.5, short)
+    with pytest.raises(InputError, match="profile stops at k = 2 < n = 5"):
+        z_saddle(inst, 0.5, short)
+    with pytest.raises(InputError, match="n_max must be >= 0"):
+        z_profile(inst, 0.5, -1)
+    assert z_exact(inst, 0.5, z_profile(inst, 0.5, 5)) == z_exact(inst, 0.5)
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+
+
+def test_z_exact_is_the_recurrence_value_on_a_catalog_row():
+    # z-n50-s20-v1 at n = 50, where log Z = 0.134...: z_exact returns the
+    # recurrence's own float, with no exp/log round trip to move a bit
+    (cls,) = [c for c in json.loads(GOLDEN.read_text())["zcheck"]
+              if (c["n0"], c["s"]) == (50, 20)]
+    (entry,) = [v for v in cls["variants"] if v["id"] == "v1"]
+    inst = build_instance(entry["prices"], 0, cls["n0"], None)
+    beta = float(entry["beta"])
+    assert abs(z_exact(inst, beta)) < 1.0
+    assert z_exact(inst, beta) == all_modes_log_z(inst, beta)
