@@ -30,12 +30,19 @@ closed form depends only on its mode and units, so each walk computes it
 once per (mode, units) and keeps it, in at most m * (n + 1) slots.
 
 The sampler draws a proposal as n + m - 1 uniform values, whose m - 1
-smallest mark the bars of a stars-and-bars composition. It reads the bars
-off one value sort per chunk: the (m-1)-th smallest value of a row is its
-threshold, and the positions at or below it, in order, are the row's bars
-(a tie at a threshold falls back to argpartition). A proposal's scaled
+smallest mark the bars of a stars-and-bars composition. It draws chunks
+of _CHUNK proposals, each as a run of row blocks of about _CELLS values,
+so a block's sort and mask stay in cache and memory stays bounded
+whatever n + m - 1 is. The generator fills row-major, so the blocks of a
+chunk hold exactly the chunk's values. It reads a block's bars off one
+value sort: the (m-1)-th smallest value of a row is its threshold, and
+the positions at or below it, in order, are the row's bars (a block with
+a tie at a threshold falls back to argpartition). A proposal's scaled
 energy is linear in its bar positions, so acceptance is decided on the
-bars, and only the accepted rows are turned into compositions.
+bars, and only the accepted rows are turned into compositions. The
+acceptance rate, and the pilot that checks it, count whole chunks.
+When n = 0 or m = 1, M has one composition at most, and its fit is
+decided once, with no proposals drawn.
 
 The statistics walk packs a suffix's S_l histogram and its per-mode totals
 into one int each, a polynomial evaluated at 2^w (Kronecker substitution):
@@ -74,6 +81,7 @@ DEFAULT_CAP = 10**8
 _PILOT_TRIALS = 100_000
 _PILOT_RATE = 1e-4
 _CHUNK = 20_000
+_CELLS = 2**16  # uniform values per sampler block: 512 kB of doubles
 
 _T = TypeVar("_T")
 
@@ -545,7 +553,8 @@ def _sorted_bars(u: np.ndarray, k: int) -> np.ndarray:
     """Column positions of the k smallest values of each row of u, in
     increasing order: the entries at or below the row's k-th smallest
     value, read off one value sort and one mask. A tie at that value puts
-    more than k entries under it; such a chunk takes argpartition."""
+    more than k entries under it; such a block takes argpartition, which
+    gives the same positions."""
     rows, slots = u.shape
     # a copy, so the sorted matrix is freed at once
     threshold = np.sort(u, axis=1)[:, k - 1].copy()
@@ -565,6 +574,14 @@ def _parts_from_bars(bars: np.ndarray, slots: int) -> np.ndarray:
     return np.concatenate([first, middle, last], axis=1)
 
 
+def _low_acceptance(accepted: int, drawn: int) -> LowAcceptance:
+    """The pilot's error after accepted of drawn proposals."""
+    return LowAcceptance(
+        f"acceptance rate {accepted / drawn:.2e} below {_PILOT_RATE} "
+        f"after {drawn} trials"
+    )
+
+
 def sample_uniform(
     instance: ProblemInstance, count: int, seed: int = 0
 ) -> SampleResult:
@@ -573,41 +590,49 @@ def sample_uniform(
     Proposals are uniform compositions drawn by the stars-and-bars bijection
     (a uniform (m-1)-subset of n+m-1 slot positions: those of the m-1
     smallest of n+m-1 uniform values); a proposal is accepted iff its exact
-    scaled energy, read from its bar positions, fits the budget. The first
+    scaled energy, read from its bar positions, fits the budget. Chunks of
+    _CHUNK proposals are drawn and decided per block of about _CELLS
+    values, so memory does not grow with n + m - 1 past one row. The first
     count accepted draws are returned as the rows of SampleResult.parts;
-    the last chunk's accepted draws past count still enter the acceptance
-    rate. Raises LowAcceptance when fewer than 1 in 10^4 proposals survive
-    a 10^5-trial pilot.
+    the rate is accepted over drawn proposals, whole chunks, so the last
+    chunk's accepted draws past count enter it too. Raises LowAcceptance
+    when fewer than 1 in 10^4 proposals survive a 10^5-trial pilot. When
+    n = 0 or m = 1, M holds one composition at most: it is returned count
+    times at rate 1.0 if it fits, and if not the pilot fails at rate 0.
     """
     check_sampling(count, seed)
     m = instance.size - 1
     n = instance.n
+    budget = instance.effective_budget_scaled()
+    if n == 0 or m == 1:
+        # no bars: the one composition, n units on one mode or none at all,
+        # costs n * sum(lambda); if it does not fit, every proposal of the
+        # chunks up to the pilot would have been rejected
+        if count and n * sum(instance.mode_weights_scaled()) > budget:
+            raise _low_acceptance(0, -(-_PILOT_TRIALS // _CHUNK) * _CHUNK)
+        parts = np.full((count, m), n, dtype=np.int64)
+        parts.flags.writeable = False
+        return SampleResult(parts, 1.0, seed)
+
+    slots = n + m - 1
+    diffs, const = _bar_weights(instance.mode_weights_scaled(), slots)
+    rows = max(1, _CELLS // slots)
+    rng = np.random.default_rng(seed)
     kept = [np.zeros((0, m), dtype=np.int64)]
     accepted = drawn = 0
-    budget = instance.effective_budget_scaled()
-    rng = np.random.default_rng(seed)
-    slots = n + m - 1
-    single = n == 0 or m == 1  # M has one composition at most: no bars
-    if not single:
-        diffs, const = _bar_weights(instance.mode_weights_scaled(), slots)
     while accepted < count:
-        if single:
-            parts_mat = np.full((_CHUNK, m), n, dtype=np.int64)
-            ok = parts_mat[scaled_energies(instance, parts_mat) <= budget]
-            kept.append(ok[: count - accepted])
-        else:
-            bars = _sorted_bars(rng.random((_CHUNK, slots)), m - 1)
+        for start in range(0, _CHUNK, rows):
+            shape = (min(rows, _CHUNK - start), slots)
+            bars = _sorted_bars(rng.random(shape), m - 1)
             energies = bars.astype(diffs.dtype, copy=False) @ diffs + const
             ok = bars[energies <= budget]
-            kept.append(_parts_from_bars(ok[: count - accepted], slots))
-        accepted += len(ok)
+            if accepted < count:
+                kept.append(_parts_from_bars(ok[: count - accepted], slots))
+            accepted += len(ok)
         drawn += _CHUNK
         if drawn >= _PILOT_TRIALS and accepted < count:
             if accepted / drawn < _PILOT_RATE:
-                raise LowAcceptance(
-                    f"acceptance rate {accepted / drawn:.2e} below "
-                    f"{_PILOT_RATE} after {drawn} trials"
-                )
+                raise _low_acceptance(accepted, drawn)
 
     parts = np.concatenate(kept)
     parts.flags.writeable = False

@@ -99,8 +99,15 @@ def occupancy(beta: float, sigma: float, lam: float) -> float:
     """Single-mode occupancy 1/(exp(beta*lam - sigma) - 1).
 
     Requires beta*lam - sigma > 0; the form exp(-x)/(1 - exp(-x)) is stable
-    for both tiny and huge arguments.
+    for both tiny and huge arguments. A non-finite argument raises
+    InputError, an argument x <= 0 DomainError.
     """
+    if not (math.isfinite(beta) and math.isfinite(sigma)
+            and math.isfinite(lam)):
+        raise InputError(
+            f"occupancy needs finite beta, sigma, lam, got {beta}, {sigma}, "
+            f"{lam}"
+        )
     x = beta * lam - sigma
     if x <= 0:
         raise DomainError(
@@ -117,7 +124,13 @@ class ModeOffsets(NamedTuple):
     pole: Fraction
 
     def x0(self, beta: float, sigma: float) -> float:
-        """Pole offset beta*lambda_p - sigma of an absolute sigma (nu)."""
+        """Pole offset beta*lambda_p - sigma of an absolute sigma (nu).
+        A non-finite beta or sigma raises InputError, a sigma at or past
+        the pole DomainError."""
+        if not (math.isfinite(beta) and math.isfinite(sigma)):
+            raise InputError(
+                f"beta and sigma (nu) must be finite, got {beta}, {sigma}"
+            )
         pole = beta * float(self.pole)
         if not pole - sigma > 0:
             raise DomainError(

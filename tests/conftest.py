@@ -1,5 +1,7 @@
-"""Shared helpers: a seeded random-instance generator used across suites."""
+"""Shared helpers: a seeded random-instance generator used across suites,
+and a traced-memory probe."""
 
+import tracemalloc
 from fractions import Fraction
 
 from bealloc import ProblemInstance, build_instance
@@ -40,3 +42,15 @@ def decimal_string(value: Fraction, scale: int = 10**6) -> str:
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
     return f"{sign}{scaled // scale}.{scaled % scale:06d}"
+
+
+def traced_peak(run):
+    """(run(), bytes traced when it returns, peak bytes traced while it
+    ran), with tracemalloc on for the call only."""
+    tracemalloc.start()
+    try:
+        result = run()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak

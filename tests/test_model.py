@@ -4,7 +4,6 @@ import gc
 import inspect
 import random
 import sys
-import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
@@ -29,7 +28,7 @@ from bealloc import (
     solve_params,
 )
 from bealloc.model import parse_scaled, parse_scaled_column
-from conftest import random_instance
+from conftest import random_instance, traced_peak
 
 
 def build_example(budget="8"):
@@ -227,12 +226,11 @@ def test_parse_scaled_column_holds_no_column_sized_temporaries():
     cents = [rng.randint(1, 10000) for _ in range(5000)]
     texts = [f"{c // 100}.{c % 100:02d}" for c in cents]
     gc.disable()
-    tracemalloc.start()
     try:
-        values = parse_scaled_column(texts, 10**6, price_label)
-        kept, peak = tracemalloc.get_traced_memory()
+        values, kept, peak = traced_peak(
+            lambda: parse_scaled_column(texts, 10**6, price_label)
+        )
     finally:
-        tracemalloc.stop()
         gc.enable()
     assert values == [c * 10**4 for c in cents]
     assert peak <= 1.5 * kept, (peak, kept)

@@ -4,7 +4,6 @@ import gc
 import json
 import math
 import random
-import tracemalloc
 import warnings
 from collections import defaultdict
 from fractions import Fraction
@@ -46,7 +45,7 @@ from bealloc.oracle import (
     shell_budget,
 )
 from bealloc.solver import predicted_cumulative
-from conftest import random_instance
+from conftest import random_instance, traced_peak
 
 LN2 = math.log(2.0)
 UNIFORM = ThermoParams(0.0, -LN2, 0.0, 0.0)
@@ -633,8 +632,19 @@ def reference_sample(instance, count, seed):
     return comps, len(accepted) / drawn
 
 
+def many_block_instance():
+    """n = 60 units over m = 41 modes, budget at the uniform mean energy
+    (acceptance about 1/2): 100 slots, which do not divide oracle._CELLS."""
+    prices = [str(1 + j % 7) for j in range(42)]
+    lams = list(accumulate(int(p) for p in reversed(prices)))[::-1]
+    return build_instance(prices, 0, 60, str(60 * sum(lams[1:]) // 41))
+
+
 SAMPLER_CASES = {
     "random": (lambda: random_instance(random.Random(21), 12, 12), 700),
+    # two chunks of 30 full blocks and one partial one each; the draws
+    # stop inside the second chunk
+    "many blocks": (many_block_instance, 12_000),
     "two chunks": (lambda: build_example("10"), 25_000),
     "n = 0": (lambda: build_instance(["1", "2", "3"], 2, 2, "12"), 40),
     "m = 1": (lambda: build_instance(["1", "2"], 0, 3, "7.5"), 40),
@@ -654,6 +664,9 @@ def test_sampler_matches_the_row_loop(case):
     m = inst.size - 1
     if case == "exact fallback":
         assert inst.n * max(inst.mode_weights_scaled()) > 2**62
+    if case == "many blocks":
+        rows = oracle._CELLS // (inst.n + m - 1)
+        assert 1 < rows < oracle._CHUNK and oracle._CHUNK % rows
     for seed in (0, 1, 7, 12345):
         result = sample_uniform(inst, count, seed)
         comps, rate = reference_sample(inst, count, seed)
@@ -667,7 +680,7 @@ def test_sampler_matches_the_row_loop(case):
 
 
 class TiedGenerator:
-    """numpy's generator for a seed, except that the first chunk it draws
+    """numpy's generator for a seed, except that the first block it draws
     ties row 0's (bars + 1)-th smallest value to its bars-th smallest."""
 
     def __init__(self, real, seed, bars):
@@ -685,9 +698,10 @@ class TiedGenerator:
 
 
 def test_sampler_takes_argpartition_on_a_tie_at_the_threshold(monkeypatch):
-    # two chunks of 20,000 proposals (acceptance ~0.13): the tied first
-    # chunk holds m bars at or below row 0's threshold, one too many for
-    # the mask, and takes argpartition; the second chunk does not
+    # two chunks of 20,000 proposals (acceptance ~0.13) in blocks of
+    # oracle._CELLS values: the tied first block holds m bars at or below
+    # row 0's threshold, one too many for the mask, and takes
+    # argpartition; no other block does
     inst = random_instance(random.Random(21), 12, 12)
     m = inst.size - 1
     real_rng, real_argpartition = np.random.default_rng, np.argpartition
@@ -770,6 +784,38 @@ def test_sampling_with_weights_past_int64(k, m, budget):
     assert result.acceptance_rate == 1.0
 
 
+def test_sampler_memory_stays_within_a_block():
+    # n = m = 200 under a budget every composition fits: a whole chunk at
+    # once is 20,000 x 399 doubles and a sorted copy, 122.7 MB traced
+    inst = build_instance(["1"] * 201, 0, 200, str(200 * 200))
+    result, _, peak = traced_peak(lambda: sample_uniform(inst, 1000, 1))
+    assert result.parts.shape == (1000, 200)
+    assert result.acceptance_rate == 1.0
+    assert peak < 8 * 2**20, peak
+
+
+def test_one_composition_sampler_holds_no_chunk():
+    # n = 0 over 499 modes: one (20,000, m) chunk of the composition and
+    # its energies is 152 MB traced
+    inst = build_instance(["1"] * 500, 5, 5, "2500")
+    result, _, peak = traced_peak(lambda: sample_uniform(inst, 10, 3))
+    assert result.parts.tolist() == [[0] * 499] * 10
+    assert result.acceptance_rate == 1.0
+    assert peak < 2**20, peak
+
+
+def test_one_composition_past_the_budget_fails_the_pilot():
+    # m = 1 and n = 3: the one composition costs 3 * 2 > 5
+    inst = build_instance(["1", "2"], 0, 3, "5")
+    with pytest.raises(LowAcceptance) as info:
+        sample_uniform(inst, 10, seed=0)
+    assert str(info.value) == (
+        "acceptance rate 0.00e+00 below 0.0001 after 100000 trials"
+    )
+    empty = sample_uniform(inst, 0, seed=0)
+    assert empty.parts.shape == (0, 1) and empty.acceptance_rate == 1.0
+
+
 def test_walks_free_their_memo_without_a_gc_pass():
     # the memoized walk's recursion is a reference cycle; its memo and its
     # fits table must not wait for the cyclic collector to be freed
@@ -784,18 +830,18 @@ def test_walks_free_their_memo_without_a_gc_pass():
         fitted.append(None)
         return bytes(8192)
 
-    gc.disable()
-    tracemalloc.start()
-    try:
+    def walks():
         count_configurations(inst)
         cumulative_stats(inst, params, 8)
         low_energy_shell_weight(inst, 0.05)
         count_configurations(golden)
         _walk(lams, inst.n, inst.effective_budget_scaled(), fits,
               lambda i, kids: kids[0], lambda units, vmax: b"")
-        retained = tracemalloc.get_traced_memory()[0]
+
+    gc.disable()
+    try:
+        _, retained, _ = traced_peak(walks)
     finally:
-        tracemalloc.stop()
         gc.enable()
     assert len(fitted) * 8192 > 200_000
     assert retained < 200_000

@@ -4,7 +4,6 @@ import json
 import math
 import random
 import sys
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,10 +14,13 @@ from bealloc import (
     CapExceeded,
     DomainError,
     InputError,
+    ThermoParams,
+    build_allocation,
     build_instance,
     from_fractions,
     grand_partition,
     iter_compositions,
+    predicted_cumulative,
     saddle_nu,
     solve_sigma,
     with_total,
@@ -36,7 +38,7 @@ from bealloc.partition import (
     z_profile,
 )
 from bealloc.solver import mode_offsets
-from conftest import decimal_string, random_instance
+from conftest import decimal_string, random_instance, traced_peak
 
 LN2 = math.log(2.0)
 
@@ -354,12 +356,7 @@ def test_z_integral_memory_below_one_mode_grid_array():
     beta = 0.01
     nu = saddle_nu(inst, beta)
     z_integral(inst, beta, nu, grid)
-    tracemalloc.start()
-    try:
-        z_integral(inst, beta, nu, grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced_peak(lambda: z_integral(inst, beta, nu, grid))
     one_array = 999 * grid * np.dtype(complex).itemsize
     assert peak < one_array / 16
 
@@ -475,6 +472,22 @@ def test_non_finite_beta_is_an_input_error(call, beta):
     # every entry point reaches mode_offsets, which rejects beta first
     with pytest.raises(InputError, match="beta must be finite"):
         call(build_example(), beta)
+
+
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda inst, nu: grand_partition(inst, 0.5, nu),
+    lambda inst, nu: z_integral(inst, 0.5, nu),
+    lambda inst, nu: predicted_cumulative(
+        inst, ThermoParams(0.5, nu, 0.0, 0.0), 2),
+    lambda inst, nu: build_allocation(inst, ThermoParams(0.5, nu, 0.0, 0.0)),
+], ids=["grand_partition", "z_integral", "predicted_cumulative",
+        "build_allocation"])
+def test_non_finite_nu_is_an_input_error(call, nu):
+    # ModeOffsets.x0 names a non-finite nu, rather than summing to zero at
+    # -inf or calling nan "not below the pole"
+    with pytest.raises(InputError, match="must be finite, got 0.5, "):
+        call(build_example(), nu)
 
 
 def test_profile_shorter_than_n_is_an_input_error():

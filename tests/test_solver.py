@@ -11,6 +11,7 @@ from bealloc import (
     DegenerateBoundary,
     DomainError,
     IndexRange,
+    InputError,
     RepairFailed,
     ThermoParams,
     build_allocation,
@@ -58,6 +59,18 @@ def test_occupancy_pole_rejected():
         occupancy(0.0, 0.0, 5.0)
     with pytest.raises(DomainError):
         occupancy(1.0, 4.0, 3.0)
+
+
+@pytest.mark.parametrize("args", [
+    (math.nan, 0.0, 1.0), (1.0, math.nan, 1.0), (1.0, 0.0, math.nan),
+    (math.inf, 0.0, 1.0), (1.0, -math.inf, 1.0), (1.0, 0.0, math.inf),
+    (-math.inf, 0.0, 1.0), (1.0, math.inf, 1.0), (1.0, 0.0, -math.inf),
+])
+def test_occupancy_non_finite_argument_is_an_input_error(args):
+    # nan passes the x <= 0 guard, and beta = inf or sigma = -inf gives an
+    # occupancy of 0.0: neither is a value
+    with pytest.raises(InputError, match="occupancy needs finite"):
+        occupancy(*args)
 
 
 def test_sums_on_example():
