@@ -339,25 +339,6 @@ def cmd_zcheck(args: argparse.Namespace) -> dict:
         if args.beta_override is not None
         else solver.solve_params(inst).beta
     )
-    # past float range every mode's Boltzmann exponent is inf or nan, and
-    # the recurrence would only end in a misleading pole error; its largest
-    # tilt k*beta*(lambda_j - lambda_p) is at k = 4n and the widest gap
-    lams, scale = inst.weights.numerators, inst.scale
-    try:
-        lam2 = lams[1] / scale
-    except OverflowError:
-        raise InputError("lambda_2 exceeds float range") from None
-    if not math.isfinite(beta * lam2):
-        raise InputError(
-            f"--beta {beta} overflows beta * lambda_2 (lambda_2 = {lam2})"
-        )
-    gap = (lams[1] - lams[-1]) / scale
-    if not math.isfinite(4 * inst.n * abs(beta) * gap):
-        raise InputError(
-            f"--beta {beta} overflows 4n * |beta| * (lambda_2 - lambda_s) "
-            f"(n = {inst.n}, lambda_2 - lambda_s = {gap})"
-        )
-
     # One recurrence serves the three rows: the 4n profile starts with the
     # n and 2n ones. A row past the caps is still rejected by z_exact.
     try:

@@ -75,7 +75,8 @@ from .errors import (
 )
 from .model import ProblemInstance
 from .partition import geometric_prefix_sums
-from .solver import ThermoParams, check_index, predicted_cumulative
+from .solver import (ThermoParams, check_index, check_tilt_range,
+                     predicted_cumulative)
 
 DEFAULT_CAP = 10**8
 _PILOT_TRIALS = 100_000
@@ -463,13 +464,12 @@ def low_energy_shell_weight(
     The shell keeps members with energy <= E - n^(1/2 + epsilon), compared
     exactly against scaled integer energies (`shell_budget`; a cut beyond
     float range raises InputError). At beta = 0 the weight is the exact
-    count ratio. A non-finite beta raises InputError; a log weight or a
-    weight beyond float range raises DomainError. total, if given, is |M|
-    as an earlier walk counted it (`cumulative_stats`), and is not counted
-    again; a negative total raises InputError.
+    count ratio. A beta that `check_tilt_range` rejects raises InputError,
+    a weight beyond float range DomainError. total, if given, is |M| as an
+    earlier walk counted it (`cumulative_stats`), and is not counted again;
+    a negative total raises InputError.
     """
-    if not math.isfinite(beta):
-        raise InputError(f"beta must be finite, got {beta}")
+    check_tilt_range(instance, beta)
     check_cap(instance, cap)
     cut = shell_budget(instance, epsilon)
     lams = instance.mode_weights_scaled()
@@ -489,10 +489,6 @@ def low_energy_shell_weight(
     # the geometric prefix sums of Z, run from the last mode to the first.
     # All of it is in log space, so no partial sum over- or underflows.
     logx = [-beta * (lam / instance.scale) for lam in lams]
-    # a member's log weight is at most n * max|log x| in size; twice that
-    # leaves room for the table's sums and differences of log weights
-    if not math.isfinite(2.0 * instance.n * max(map(abs, logx))):
-        raise DomainError(f"log weights at beta = {beta} exceed float range")
     table = list(geometric_prefix_sums(instance.n, reversed(logx)))
     table.reverse()
 

@@ -164,10 +164,14 @@ def grand_partition(
     """The solver's occupancy pass at (beta, nu < beta*lambda_j for all j).
 
     log_zeta is log zeta(beta, nu); count = sum occ and curvature =
-    sum occ*(occ+1) are its first two nu-derivatives.
+    sum occ*(occ+1) are its first two nu-derivatives. Sums past float
+    range raise DomainError.
     """
     modes = mode_offsets(instance, beta)
-    return occupancy_sums(modes, beta, modes.x0(beta, nu))
+    sums = occupancy_sums(modes, beta, modes.x0(beta, nu))
+    if not all(map(math.isfinite, sums)):
+        raise DomainError(f"occupancy sums at nu = {nu} exceed float range")
+    return sums
 
 
 def saddle_nu(instance: ProblemInstance, beta: float) -> float:
@@ -185,7 +189,9 @@ def z_saddle(
     """Gaussian saddle-point log Z next to the exact recurrence value;
     profile is passed on to `z_exact`."""
     nu = saddle_nu(instance, beta)
-    sums = grand_partition(instance, beta, nu)
+    # not grand_partition: its check of the spread does not concern log Z
+    modes = mode_offsets(instance, beta)
+    sums = occupancy_sums(modes, beta, modes.x0(beta, nu))
     log_zs = (-nu * instance.n + sums.log_zeta
               - 0.5 * math.log(2.0 * math.pi * sums.curvature))
     log_zx = z_exact(instance, beta, profile)
@@ -259,4 +265,7 @@ def z_integral(
             f"quadrature collapsed to a nonpositive value ({value:.3e}); "
             "increase the grid"
         )
-    return math.log(value) + shift - nu * n
+    log_z = math.log(value) + shift - nu * n
+    if not math.isfinite(log_z):
+        raise DomainError(f"log Z at nu = {nu} exceeds float range")
+    return log_z

@@ -66,6 +66,7 @@ MIN_STEP = 2.0**-64    # smallest damped step before the iteration stalls
 # residual end the iteration.
 NOISE = 1e-13
 STALL_STEPS = 4
+_WEIGHT_RANGE = "mode weights exceed float range at scale {}"
 
 
 @dataclass(frozen=True)
@@ -124,10 +125,10 @@ class ModeOffsets(NamedTuple):
     pole: Fraction
 
     def x0(self, beta: float, sigma: float) -> float:
-        """Pole offset beta*lambda_p - sigma of an absolute sigma (nu).
-        A non-finite beta or sigma raises InputError, a sigma at or past
-        the pole DomainError."""
-        if not (math.isfinite(beta) and math.isfinite(sigma)):
+        """Pole offset beta*lambda_p - sigma of an absolute sigma (nu), at a
+        beta that `mode_offsets` accepted. A non-finite sigma raises
+        InputError, a sigma at or past the pole DomainError."""
+        if not math.isfinite(sigma):
             raise InputError(
                 f"beta and sigma (nu) must be finite, got {beta}, {sigma}"
             )
@@ -151,16 +152,32 @@ class OccupancySums(NamedTuple):
     log_zeta: float    # -sum log(1 - exp(-x)) = sum log(1 + n)
 
 
+def check_tilt_range(instance: ProblemInstance, beta: float) -> None:
+    """Raise InputError unless beta is finite and 2*max(n, 1)*|beta|*lambda_2
+    is a float: lambda_2 is the largest mode weight, so n times any exponent
+    beta*lambda_j or offset beta*d_j fits too, with room for a sum of two."""
+    try:
+        lam2 = instance.weights.numerators[1] / instance.scale
+    except OverflowError:
+        raise InputError(_WEIGHT_RANGE.format(instance.scale)) from None
+    n = max(instance.n, 1)
+    if not math.isfinite(2.0 * n * abs(beta * lam2)):  # nan for a nan beta
+        # |beta| = 1 is also the fit's pole-side call, before beta is known
+        rule = ("2n * lambda_2 must be a float" if abs(beta) == 1 else
+                "beta must be finite and 2n * |beta| * lambda_2 a float, "
+                f"got beta = {beta}")
+        raise InputError(f"{rule} (n = {n}, lambda_2 = {lam2})")
+
+
 def mode_offsets(instance: ProblemInstance, beta: float) -> ModeOffsets:
     """Offsets from the pole mode of a beta of this sign (lambda_2 for
     beta < 0, else lambda_s), so that x_j >= x0 on every mode.
 
-    Built once per instance and pole side; d is read-only. Raises
-    InputError for a non-finite beta, and when an offset, in scaled units,
-    is past float range.
+    Built once per instance and pole side; d is read-only. Every call
+    runs `check_tilt_range`; an offset past float range, in scaled units,
+    raises its weight-range InputError too.
     """
-    if not math.isfinite(beta):
-        raise InputError(f"beta must be finite, got {beta}")
+    check_tilt_range(instance, beta)
     memo = instance._offsets_memo
     side = beta < 0
     if side not in memo:
@@ -170,10 +187,7 @@ def mode_offsets(instance: ProblemInstance, beta: float) -> ModeOffsets:
         try:
             d = np.array(offsets, float)
         except OverflowError:
-            raise InputError(
-                "mode weight offsets exceed float range at scale "
-                f"{instance.scale}"
-            ) from None
+            raise InputError(_WEIGHT_RANGE.format(instance.scale)) from None
         d /= instance.scale
         d.flags.writeable = False
         memo[side] = ModeOffsets(d, Fraction(scaled[p], instance.scale))
@@ -201,10 +215,8 @@ def occupancy_sums(modes: ModeOffsets, beta: float, x0: float) -> OccupancySums:
         spread = float(w @ np.square(modes.d - mean_d))
         # -log(1 - exp(-x)) = log(1 + n), accurate for small and large n
         log_zeta = float(np.log1p(occ).sum())
-    return OccupancySums(
-        float(occ.sum()), float(occ @ modes.d), curvature, mean_d, spread,
-        log_zeta,
-    )
+        count, energy = float(occ.sum()), float(occ @ modes.d)
+    return OccupancySums(count, energy, curvature, mean_d, spread, log_zeta)
 
 
 def solve_offset(modes: ModeOffsets, n: int, beta: float) -> float:
@@ -268,9 +280,10 @@ def solve_params(instance: ProblemInstance) -> ThermoParams:
     e_scaled = instance.effective_budget_scaled()
     scale = instance.scale
     # E*Q against N*sum(lambda): beta > 0 below the uniform mean energy.
+    # The pole side's offsets at |beta| = 1 check 2n*lambda_2, at beta = 0 too.
     mean_gap = n * sum(scaled) - e_scaled * len(scaled)
     sign = (mean_gap > 0) - (mean_gap < 0)
-    modes = mode_offsets(instance, sign)
+    modes = mode_offsets(instance, sign or 1)
     lam_p = float(modes.pole)
     e_shift = float(Fraction(e_scaled, scale) - n * modes.pole)
     n_scale = max(1.0, float(n))

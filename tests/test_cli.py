@@ -648,7 +648,7 @@ def test_zcheck_beta_past_float_range_is_an_input_error(
     def fail(*_args, **_kwargs):
         pytest.fail("recurrence run for an overflowing beta")
 
-    monkeypatch.setattr(partition, "z_profile", fail)
+    monkeypatch.setattr(partition, "geometric_prefix_sums", fail)
     code, out, err = run(
         capsys,
         ["zcheck", "--prices", prices_file, "--min-shares", "0",
@@ -656,16 +656,16 @@ def test_zcheck_beta_past_float_range_is_an_input_error(
     )
     assert (code, out, err) == (
         4, "",
-        f"error: --beta {float(beta)} overflows beta * lambda_2 "
-        "(lambda_2 = 5.0)\n",
+        "error: beta must be finite and 2n * |beta| * lambda_2 a float, "
+        f"got beta = {float(beta)} (n = 2, lambda_2 = 5.0)\n",
     )
 
 
 @pytest.mark.parametrize("beta", ["3.5e307", "-3.5e307"])
 def test_zcheck_beta_past_the_largest_tilt_is_an_input_error(tmp_path, beta):
-    # beta * lambda_2 fits a float, 4n * |beta| * (lambda_2 - lambda_s) = 16
-    # * 3.5e307 * 2.25 does not: rejected before the recurrence warns, in a
-    # fresh process, so its real stderr is what is checked
+    # beta * lambda_2 fits a float, 2n * |beta| * lambda_2 = 8 * 3.5e307 *
+    # 3.25 does not: rejected before the recurrence warns, in a fresh
+    # process, so its real stderr is what is checked
     path = tmp_path / "p.csv"
     path.write_text("3.5\n2.25\n1.0\n")
     proc = python_m_bealloc(
@@ -674,9 +674,32 @@ def test_zcheck_beta_past_the_largest_tilt_is_an_input_error(tmp_path, beta):
     )
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr == (
-        f"error: --beta {float(beta)} overflows 4n * |beta| * "
-        "(lambda_2 - lambda_s) (n = 4, lambda_2 - lambda_s = 2.25)\n"
+        "error: beta must be finite and 2n * |beta| * lambda_2 a float, "
+        f"got beta = {float(beta)} (n = 4, lambda_2 = 3.25)\n"
     )
+    assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [
+    ["solve"], ["enumerate", "--l", "2"], ["zcheck"],
+], ids=" ".join)
+def test_fit_energies_past_float_range_are_an_input_error(tmp_path, flags):
+    # 2n * lambda_2 = 2e4 * 5e304 is no float, so neither is the fit's
+    # energy shift E - n*lambda_s; in a fresh process, so its real stderr
+    # is what is checked
+    path = tmp_path / "p.csv"
+    path.write_text("1e305\n5e304\n1\n")
+    command, *rest = flags
+    proc = python_m_bealloc(
+        [command, "--prices", str(path), "--scale", "1", "--min-shares", "0",
+         "--max-shares", "10000", "--budget", "3e308", *rest]
+    )
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.endswith(
+        "error: 2n * lambda_2 must be a float (n = 10000, lambda_2 = 5e+304)\n"
+    )
+    assert proc.stderr.count("error:") == 1
+    assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
 
 
@@ -698,9 +721,7 @@ WIDE_OFFSET_PRICES = {
 }
 
 
-OFFSET_ERROR = (
-    "error: mode weight offsets exceed float range at scale 1000000\n"
-)
+OFFSET_ERROR = "error: mode weights exceed float range at scale 1000000\n"
 OFFSET_CASES = [
     pytest.param(name, flags, OFFSET_ERROR, id=f"{name} {flags[0]} {flags[1]}")
     for name, flags in [
@@ -710,12 +731,9 @@ OFFSET_CASES = [
         ("1e303", ["zcheck", "--beta", "0.5"]),
         ("4300 nines", ["solve", "--budget", "20"]),
         ("4300 nines", ["zcheck", "--budget", "20"]),
+        # lambda_2 itself is past float range here
+        ("4300 nines", ["zcheck", "--beta", "0.5"]),
     ]
-] + [
-    # lambda_2 itself is past float range here
-    pytest.param("4300 nines", ["zcheck", "--beta", "0.5"],
-                 "error: lambda_2 exceeds float range\n",
-                 id="4300 nines zcheck --beta"),
 ]
 
 

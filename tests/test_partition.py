@@ -20,6 +20,7 @@ from bealloc import (
     from_fractions,
     grand_partition,
     iter_compositions,
+    low_energy_shell_weight,
     predicted_cumulative,
     saddle_nu,
     solve_sigma,
@@ -488,6 +489,32 @@ def test_non_finite_nu_is_an_input_error(call, nu):
     # -inf or calling nan "not below the pole"
     with pytest.raises(InputError, match="must be finite, got 0.5, "):
         call(build_example(), nu)
+
+
+@pytest.mark.parametrize("call", [
+    lambda inst: solve_sigma(inst, 0.5),
+    lambda inst: z_exact(inst, 0.5),
+    lambda inst: z_saddle(inst, 0.5),
+    lambda inst: grand_partition(inst, 0.5, 0.0),
+    lambda inst: low_energy_shell_weight(inst, 0.5),
+], ids=["solve_sigma", "z_exact", "z_saddle", "grand_partition",
+        "low_energy_shell_weight"])
+def test_weight_past_float_range_is_an_input_error(call):
+    # one mode, so its offset is 0, but lambda_2 = 1e309 is no float
+    inst = build_instance(["1e309", "1e309"], 0, 2, "3e309", scale=1)
+    with pytest.raises(InputError, match="mode weights exceed float range"):
+        call(inst)
+
+
+def test_results_past_float_range_are_a_domain_error():
+    # nu = -1e-300 next to the beta = 0 pole: occupancies near 1e300 square
+    # past float range in the curvature
+    with pytest.raises(DomainError, match="occupancy sums at nu = -1e-300"):
+        grand_partition(build_example(), 0.0, -1e-300)
+    # -nu * n = 50 * 1e308 is no float
+    wide = build_instance(["1e300", "5e299", "1"], 0, 50, "1e301", scale=1)
+    with pytest.raises(DomainError, match="log Z at nu = -1e"):
+        z_integral(wide, 0.0, -1e308, grid=64)
 
 
 def test_profile_shorter_than_n_is_an_input_error():

@@ -119,6 +119,17 @@ def test_solve_params_rich_budget_goes_negative():
     assert params.beta < 0.0
 
 
+@pytest.mark.parametrize("budget", [
+    "3e308", str(10**4 * (5 * 10**304 + 2) // 2),
+], ids=["above the mean energy", "at the mean energy"])
+def test_solve_params_energies_past_float_range(budget):
+    # 2n * lambda_2 = 2e4 * 5e304 is no float; at the mean energy (beta = 0
+    # in closed form) E - n*lambda_s = 2.5e308 is none either
+    inst = build_instance(["1e305", "5e304", "1"], 0, 10**4, budget, scale=1)
+    with pytest.raises(InputError, match=r"^2n \* lambda_2 must be a float"):
+        solve_params(inst)
+
+
 def test_solve_params_boundary_rejected():
     for budget in ("6", "10", "12"):
         with pytest.raises(DegenerateBoundary):
