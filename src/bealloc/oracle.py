@@ -6,28 +6,38 @@ integer arithmetic: energies are exact ints, membership is never decided by
 a float. Two walks go over M mode by mode, pruning any prefix whose cheapest
 completion already overshoots the budget. The visitor walk
 (iter_compositions) yields every member in lexicographic order and is the
-reference. The memoized walk also collapses every suffix whose most
-expensive completion still fits into a closed form, and a memo on (mode,
-units, remaining budget) makes repeated suffixes free. Its aggregates are
-the count |M| (stars-and-bars binomials), the ensemble statistics (|M|, the
-S_l histogram and per-mode totals, all exact integers) and the shell weight,
-a sum of exp(-beta * energy) that is a product over modes, so it joins like
-the count; it is summed in log space, and is the count ratio at beta = 0.
-Its closed form for a suffix is a complete homogeneous polynomial, tabulated
-by the log-space geometric prefix-sum recurrence that the partition layer
-runs for Z (`partition.geometric_prefix_sums`).
-`enumerate --l` takes |M| from the statistics walk and runs no separate
-count walk.
+reference. The level sweep (`_levels`) also closes every suffix whose most
+expensive completion still fits into a closed form. It holds one frontier
+per mode: the distinct states (units, budget left) as a pair of numpy
+arrays. The open states expand to all their children at once, and equal
+children merge after one lexsort per level, so a state reached by many
+prefixes is walked once. The state arrays are int64 while units * lambda
+and the budget fit, and the count arrays while every count and total
+fits; past its bound each is an object array of Python ints, chosen by one
+comparison (`_levels`, `_count_dtype`).
+
+The sweep's aggregates are read off its levels. The count |M| sums
+completion counts back from the last level, with stars-and-bars binomials
+for the closed suffixes. The ensemble statistics (|M|, the S_l histogram
+and per-mode totals, all exact integers) weigh each state by its prefix
+times its completion count. The shell weight is a sum of exp(-beta *
+energy) that is a product over modes, so it joins like the count; it is
+summed in log space, and is the count ratio at beta = 0. It folds
+per-state callbacks over the levels (`_walk`). Its closed form for a suffix
+is a complete homogeneous polynomial, tabulated by the log-space geometric
+prefix-sum recurrence that the partition layer runs for Z
+(`partition.geometric_prefix_sums`). `enumerate --l` takes |M| from the
+statistics walk and runs no separate count walk.
 
 The walk's last two modes are closed too. A suffix from the penultimate
 mode puts v = 0..vmax units there and the rest on the last mode, whose
 completion always fits, so each aggregate supplies the join of those
 vmax + 1 closed forms in closed form (`_walk`'s pair): vmax + 1 members,
-their statistics from one triangular number and a base-2^w repunit, and
-the shell weight as the join of a slice of the last mode's table row. That
-level of the recursion makes no calls and no memo entries. A suffix's
-closed form depends only on its mode and units, so each walk computes it
-once per (mode, units) and keeps it, in at most m * (n + 1) slots.
+their S_l histogram as a run of ones or a single bin, their per-mode totals
+from one triangular number, and the shell weight as the join of a slice of
+the last mode's table row. That level opens no states. A suffix's closed
+form depends only on its mode and units, so each walk computes it once per
+(mode, units).
 
 The sampler draws a proposal as n + m - 1 uniform values, whose m - 1
 smallest mark the bars of a stars-and-bars composition. It draws chunks
@@ -43,17 +53,6 @@ bars, and only the accepted rows are turned into compositions. The
 acceptance rate, and the pilot that checks it, count whole chunks.
 When n = 0 or m = 1, M has one composition at most, and its fit is
 decided once, with no proposals drawn.
-
-The statistics walk packs a suffix's S_l histogram and its per-mode totals
-into one int each, a polynomial evaluated at 2^w (Kronecker substitution):
-hist = sum of c_a * 2^(w*a), where c_a counts the suffix's completions
-whose S_l share is a, and totals = sum of T_t * 2^(w*t), where T_t sums
-the units on the suffix's mode t over them. Every digit is a nonnegative
-integer no larger than max(n, 1) * |compositions ignoring the budget|, and
-w is one bit wider than that bound, so adding packed values adds the
-digits and shifting by w*v moves a histogram up by v units, and no digit
-ever carries into the next. A join is then a few big-int additions and
-shifts per kid, and the digits are read out once, after the walk.
 """
 
 from __future__ import annotations
@@ -218,6 +217,78 @@ def enumerate_compositions(
     return visits
 
 
+@dataclass(frozen=True)
+class _Level:
+    """One mode's frontier of the walk: the units of its distinct states
+    (units, budget left), sorted by both, each with units * lambda_last <=
+    left.
+
+    fit marks the states that fits closes (units * lambda_i <= left). The
+    others, in state order, can put v = 0..vmax units on the mode, reps =
+    vmax + 1 choices. At the penultimate mode pair closes them; before it
+    they are open, and their children make one run each, reps long, from
+    starts, in v order. Child j is the next level's state kids[j].
+    """
+
+    units: np.ndarray
+    fit: np.ndarray
+    reps: np.ndarray
+    starts: np.ndarray
+    kids: np.ndarray
+
+
+def _steps(reps: np.ndarray, starts: np.ndarray, dtype) -> np.ndarray:
+    """v = 0..vmax for each open state, the runs laid end to end."""
+    v = np.arange(reps.sum()) - np.repeat(starts, reps)
+    return v.astype(dtype, copy=False)
+
+
+def _levels(lams: tuple[int, ...], n: int, budget: int) -> list[_Level]:
+    """The walk over the compositions of n over lams with energy <= budget,
+    one level per mode from the root (n, budget), up to the penultimate
+    mode; [] when nothing fits at all.
+
+    A level's open states expand to their children at once, and equal
+    children merge after one lexsort, so every state of a level is walked
+    once, however many prefixes reach it. The arrays are int64 while every
+    units * lambda and budget left is below 2^63, else object arrays of
+    Python ints.
+    """
+    m = len(lams)
+    lmin = lams[-1]
+    if n * lmin > budget:
+        return []
+    dtype = np.int64 if max(max(n, 1) * lams[0], budget) < 2**63 else object
+    units = np.array([n], dtype=dtype)
+    left = np.array([budget], dtype=dtype)
+    levels = []
+    for i, lam in enumerate(lams):
+        fit = units * lam <= left
+        shut = ~fit
+        # lam > lmin wherever a state is shut: vmax < units, since the most
+        # expensive completion overshoots
+        vmax = (left[shut] - units[shut] * lmin) // (lam - lmin)
+        reps = (vmax + 1).astype(np.intp)
+        starts = np.cumsum(reps) - reps
+        if i == m - 2:
+            levels.append(_Level(units, fit, reps, starts, reps[:0]))
+            break
+        v = _steps(reps, starts, dtype)
+        kid_units = np.repeat(units[shut], reps) - v
+        kid_left = np.repeat(left[shut], reps) - v * lam
+        order = np.lexsort((kid_left, kid_units))
+        kid_units, kid_left = kid_units[order], kid_left[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (kid_units[1:] != kid_units[:-1]) | (
+            kid_left[1:] != kid_left[:-1]
+        )
+        kids = np.empty(len(order), dtype=np.intp)
+        kids[order] = np.cumsum(new) - 1
+        levels.append(_Level(units, fit, reps, starts, kids))
+        units, left = kid_units[new], kid_left[new]
+    return levels
+
+
 def _walk(
     lams: tuple[int, ...],
     n: int,
@@ -234,66 +305,99 @@ def _walk(
     completion always fits, so kids is empty only when nothing fits at all.
     pair(units, vmax) is the closed form of join(m - 2, [fits(m - 1,
     units - v) for v in 0..vmax]): v units on the penultimate mode, the
-    rest on the last, whose completion always fits. fits depends on (i,
-    units) only, so each walk calls it once per (i, units) and keeps the
-    result.
+    rest on the last, whose completion always fits. The fold runs over
+    `_levels`, last level first: each state's aggregate is computed once,
+    and fits once per (i, units).
     """
-    lmin = lams[-1]
-    if n * lmin > budget:
+    levels = _levels(lams, n, budget)
+    if not levels:
         return join(0, [])
     penult = len(lams) - 2
-    stride = n + 1
-    # fits by slot i * stride + units: a dict, since a walk may visit few
-    # of the m * (n + 1) slots, and n may be large when m is small
-    fitted: dict[int, _T] = {}
-    memo: dict[tuple[int, int, int], _T] = {}
-
-    def rec(i: int, units: int, left: int) -> _T:
-        # precondition: the cheapest completion fits (units * lmin <= left)
-        lam = lams[i]
-        if units * lam <= left:
-            slot = i * stride + units
-            got = fitted.get(slot)
-            if got is None:
-                got = fitted[slot] = fits(i, units)
-            return got
-        span = lam - lmin  # > 0 here, else the first cut would have fired
-        # vmax < units, since the most expensive completion overshoots
-        vmax = (left - units * lmin) // span
+    above: list[_T] = []
+    for i in reversed(range(len(levels))):
+        level = levels[i]
+        here: list = [None] * len(level.units)
+        values, where = np.unique(level.units[level.fit], return_inverse=True)
+        fitted = [fits(i, units) for units in values.tolist()]
+        for j, k in zip(np.flatnonzero(level.fit).tolist(), where.tolist()):
+            here[j] = fitted[k]
+        shut = np.flatnonzero(~level.fit).tolist()
+        reps = level.reps.tolist()
         if i == penult:
-            return pair(units, vmax)
-        key = (i, units, left)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        # a loop, not a comprehension: before Python 3.12 a comprehension
-        # turns rec's locals into closure cells, 1.3x slower on the count
-        kids: list[_T] = []
-        for v in range(vmax + 1):
-            kids.append(rec(i + 1, units - v, left - v * lam))
-        result = memo[key] = join(i, kids)
-        return result
+            for j, units, choices in zip(
+                shut, level.units[~level.fit].tolist(), reps
+            ):
+                here[j] = pair(units, choices - 1)
+        else:
+            kids = level.kids.tolist()
+            for j, start, choices in zip(shut, level.starts.tolist(), reps):
+                here[j] = join(
+                    i, [above[k] for k in kids[start : start + choices]]
+                )
+        above = here
+    return above[0]
 
-    try:
-        return rec(0, n, budget)
-    finally:
-        # rec's closure holds rec itself; breaking that cycle frees the memo,
-        # the fits table and whatever fits and join hold now, not at the
-        # next cyclic garbage collection
-        rec = None  # type: ignore[assignment]
+
+def _count_dtype(n: int, m: int):
+    """The dtype of the walk's counts and totals over m modes: int64 while
+    max(n, 1) times the compositions ignoring the budget, a bound on every
+    one of them, is below 2^63, else object (Python ints)."""
+    bound = max(n, 1) * math.comb(n + m - 1, m - 1)
+    return np.int64 if bound < 2**63 else object
+
+
+def _spread(units: np.ndarray, modes: int, dtype) -> np.ndarray:
+    """comb(u + modes - 1, modes - 1) for each u of units: the compositions
+    of u over that many modes."""
+    values, where = np.unique(units, return_inverse=True)
+    table = [math.comb(u + modes - 1, modes - 1) for u in values.tolist()]
+    return np.array(table, dtype=dtype)[where]
+
+
+def _completions(
+    levels: list[_Level], m: int, dtype
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per level, each state's completion count (the compositions of its
+    suffix that fit) and each child's, summed back from the last level."""
+    above = np.zeros(0, dtype=dtype)
+    counts = []
+    kid_counts = []
+    for i in reversed(range(len(levels))):
+        level = levels[i]
+        here = np.empty(len(level.units), dtype=dtype)
+        here[level.fit] = _spread(level.units[level.fit], m - i, dtype)
+        kids = above[level.kids]
+        if i == m - 2:  # pair: vmax + 1 members
+            here[~level.fit] = level.reps
+        else:
+            here[~level.fit] = np.add.reduceat(kids, level.starts)
+        counts.append(here)
+        kid_counts.append(kids)
+        above = here
+    counts.reverse()
+    kid_counts.reverse()
+    return counts, kid_counts
+
+
+def _prefixes(levels: list[_Level], dtype) -> list[np.ndarray]:
+    """Per level, each state's prefix count: the ways the modes before it
+    reach it from the root."""
+    counts = [np.ones(1, dtype=dtype)]
+    for level, below in zip(levels, levels[1:]):
+        here = np.zeros(len(below.units), dtype=dtype)
+        parents = counts[-1][~level.fit]
+        np.add.at(here, level.kids, np.repeat(parents, level.reps))
+        counts.append(here)
+    return counts
 
 
 def _count(lams: tuple[int, ...], n: int, budget: int) -> int:
     """Exact |{compositions of n over lams with energy <= budget}|."""
+    levels = _levels(lams, n, budget)
+    if not levels:
+        return 0
     m = len(lams)
-    return _walk(
-        lams,
-        n,
-        budget,
-        lambda i, units: math.comb(units + m - i - 1, m - i - 1),
-        lambda i, kids: sum(kids),
-        lambda units, vmax: vmax + 1,
-    )
+    return int(_completions(levels, m, _count_dtype(n, m))[0][0][0])
 
 
 def count_configurations(
@@ -342,10 +446,81 @@ def shell_budget(instance: ProblemInstance, epsilon: float) -> int:
     )
 
 
-def _unpack(packed: int, w: int, size: int) -> list[int]:
-    """The size lowest base-2^w digits of packed, least significant first."""
-    mask = (1 << w) - 1
-    return [(packed >> w * k) & mask for k in range(size)]
+def _ensemble(
+    lams: tuple[int, ...], n: int, budget: int, lead: int
+) -> tuple[int, list[int], list[int]]:
+    """(|M|, hist, totals) over the compositions of n over lams with energy
+    <= budget: hist[a] counts those whose first lead parts sum to a, and
+    totals[t] sums part t over them.
+
+    They are read off the walk's levels (`_levels`) with the prefix and
+    completion counts of their states. A member reaching level lead has
+    share n - units there, so hist bins prefix times completion counts at
+    that level, and the suffixes closed before it add their closed forms.
+    Mode t's total sums v * prefix * completion over the children of its
+    open states, plus the closed forms of the suffixes closed at or before
+    it.
+    """
+    m = len(lams)
+    levels = _levels(lams, n, budget)
+    if not levels:
+        return 0, [0] * (n + 1), [0] * m
+    dtype = _count_dtype(n, m)
+    after, kid_after = _completions(levels, m, dtype)
+    before = _prefixes(levels, dtype)
+
+    # compositions[p][b]: the compositions of b over p modes, b = 0..n
+    none = np.zeros(n + 1, dtype=dtype)
+    none[0] = 1
+    compositions = list(
+        accumulate(range(m), lambda c, _: np.cumsum(c), initial=none)
+    )
+    hist = np.zeros(n + 1, dtype=dtype)
+    totals = [0] * m
+    closed = [0] * m  # units per mode of the suffixes fits closes at t
+    for i, (level, pre, post) in enumerate(zip(levels, before, after)):
+        shut = ~level.fit
+        units = level.units[level.fit]
+        weight = pre[level.fit]
+        # a suffix from mode i that fits puts comb(u + m - i - 1, m - i) =
+        # u * completions / (m - i) units on each of its modes in all
+        closed[i] = int(
+            (weight * (units * post[level.fit] // (m - i))).sum()
+        )
+        if i == lead:
+            np.add.at(hist, (n - level.units).astype(np.intp), pre * post)
+        elif i < lead and len(units):
+            # a fitting suffix's share a = 0..u on the lead - i counting
+            # modes, bin n - u + a, weighs the compositions of a over those
+            # times those of u - a over the m - lead others: a correlation
+            # over the units lo..hi that fit here
+            lo, hi = int(units.min()), int(units.max())
+            by_units = np.zeros(hi - lo + 1, dtype=dtype)
+            np.add.at(by_units, (units - lo).astype(np.intp), weight)
+            head = compositions[lead - i][: hi + 1]
+            tail = compositions[m - lead][hi::-1]
+            hist[n - hi :] += tail * np.convolve(by_units[::-1], head)[: hi + 1]
+        if i == m - 2:  # pair: v = 0..vmax here, units - v on the last mode
+            reps = level.reps
+            units, weight = level.units[shut], pre[shut]
+            first = reps * (reps - 1) // 2  # the sum of v
+            totals[i] += int((weight * first).sum())
+            totals[i + 1] += int((weight * (reps * units - first)).sum())
+            if lead == m - 1:  # the share gains v: bins n - units + 0..vmax
+                edges = np.zeros(n + 2, dtype=dtype)
+                start = (n - units).astype(np.intp)
+                np.add.at(edges, start, weight)
+                np.subtract.at(edges, start + reps, weight)
+                hist += np.cumsum(edges[:-1])
+            elif lead == m:  # the share is n whatever v is
+                hist[n] += (weight * reps).sum()
+        else:
+            v = _steps(level.reps, level.starts, dtype)
+            totals[i] += int(
+                (v * np.repeat(pre[shut], level.reps) * kid_after[i]).sum()
+            )
+    totals = [t + c for t, c in zip(totals, accumulate(closed))]
+    return int(after[0][0]), hist.tolist(), totals
 
 
 def cumulative_stats(
@@ -358,90 +533,24 @@ def cumulative_stats(
     """Exact S_l = sum(N_2..N_l) statistics over M.
 
     deviation_fraction is the fraction of M at distance >= delta from the
-    occupancy prediction, with band delta = n^(3/4 + epsilon).
-
-    The walk carries (count, hist, totals) per suffix, hist and totals
-    packed in base 2^w: digit a of hist counts the completions with S_l
-    share a, digit t of totals sums the units on the suffix's mode t. No
-    digit exceeds max(n, 1) * unconstrained_count(instance) < 2^(w - 1),
-    and all are nonnegative, so no sum of packed values ever carries
-    between digits, whatever cap admits.
+    occupancy prediction, with band delta = n^(3/4 + epsilon). |M|, the S_l
+    histogram and the per-mode totals come from one walk (`_ensemble`).
     """
     check_index(instance, l)
     delta = deviation_band(instance.n, epsilon)
     check_cap(instance, cap)
-    lams = instance.mode_weights_scaled()
-    lead = l - 1  # modes 2..l, the ones that count into S_l
-
-    # One walk aggregates |M|, the S_l histogram and the per-mode totals.
-    # Those of a suffix are relative to it, so the memo reuses them at any
-    # prefix.
-    n = instance.n
-    w = (max(n, 1) * unconstrained_count(instance)).bit_length() + 1
-
-    def fits(i: int, units: int) -> tuple[int, int, int]:
-        m = len(lams) - i
-        count = math.comb(units + m - 1, m - 1)
-        per_mode = math.comb(units + m - 1, m)  # sum of one part over all
-        totals = per_mode * (((1 << w * m) - 1) // ((1 << w) - 1))
-        if i >= lead:
-            hist = count
-        else:
-            nl = lead - i
-            nt = m - nl
-            if nt == 0:
-                hist = count << w * units
-            else:
-                hist = 0
-                for a in range(units + 1):
-                    hist += (
-                        math.comb(a + nl - 1, nl - 1)
-                        * math.comb(units - a + nt - 1, nt - 1)
-                    ) << w * a
-        return count, hist, totals
-
-    def join(
-        i: int, kids: list[tuple[int, int, int]]
-    ) -> tuple[int, int, int]:
-        count = hist = first = rest = 0
-        step = w if i < lead else 0  # from lead on, S_l gains nothing
-        for v, (c, h, t) in enumerate(kids):
-            count += c
-            hist += h << step * v
-            first += v * c
-            rest += t
-        return count, hist, first + (rest << w)
-
-    # v = 0..vmax units on the penultimate mode, the rest on the last: the
-    # join of the last mode's fits, (1, 1 or 2^(w*(units - v)), units - v)
-    penult = len(lams) - 2
-    repunit = (1 << w) - 1
-
-    def pair(units: int, vmax: int) -> tuple[int, int, int]:
-        count = vmax + 1
-        first = vmax * count >> 1
-        if lead <= penult:  # neither mode counts into S_l
-            hist = count
-        elif lead == penult + 1:  # only the penultimate one does
-            hist = ((1 << w * count) - 1) // repunit
-        else:  # both do: S_l = units whatever v is
-            hist = count << w * units
-        return count, hist, first + ((count * units - first) << w)
-
-    budget = instance.effective_budget_scaled()
-    total, hist, totals = _walk(lams, n, budget, fits, join, pair)
+    total, hist, totals = _ensemble(
+        instance.mode_weights_scaled(),
+        instance.n,
+        instance.effective_budget_scaled(),
+        l - 1,  # modes 2..l, the ones that count into S_l
+    )
     if total == 0:
         raise DegenerateBoundary("configuration set is empty")
 
     center = predicted_cumulative(instance, params, l)
-    bad = sum(
-        c for a, c in enumerate(_unpack(hist, w, n + 1))
-        if abs(a - center) >= delta
-    )
-
-    means = tuple(
-        Fraction(c, total) for c in accumulate(_unpack(totals, w, len(lams)))
-    )
+    bad = sum(c for a, c in enumerate(hist) if abs(a - center) >= delta)
+    means = tuple(Fraction(c, total) for c in accumulate(totals))
 
     return EnsembleStats(
         total_count=total,

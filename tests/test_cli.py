@@ -204,23 +204,25 @@ def test_verify_report_frozen_counts(capsys):
 
 
 def test_verify_walks_each_row_once(capsys, monkeypatch):
-    # the shell weight takes |M| from the statistics walk, so no count walk
-    # runs over a row's whole budget; the report is unchanged
+    # the shell weight takes |M| from the statistics walk, so a row's whole
+    # budget is walked once, by the statistics; the report is unchanged
     _, plain, _ = run(capsys, ["verify"])
     budgets = []
-    count = oracle._count
+    levels = oracle._levels
 
     def recording(lams, n, budget):
         budgets.append((n, budget))
-        return count(lams, n, budget)
+        return levels(lams, n, budget)
 
-    monkeypatch.setattr(oracle, "_count", recording)
+    monkeypatch.setattr(oracle, "_levels", recording)
     code, out, _ = run(capsys, ["verify"])
     assert (code, out) == (0, plain)
     for n in (6, 9, 12, 15):
         inst = bealloc.unit_price_family(n, "mean")
-        assert (n, inst.effective_budget_scaled()) not in budgets
-    assert len(budgets) == 4  # the beta = 0 shell counts, one per row
+        assert budgets.count((n, inst.effective_budget_scaled())) == 1
+        # the beta = 0 shell count, below the budget
+        assert budgets.count((n, oracle.shell_budget(inst, 0.25))) == 1
+    assert len(budgets) == 8
 
 
 def test_verify_sampled_extends_the_ladder(capsys):

@@ -39,6 +39,9 @@ from bealloc.oracle import (
     DEFAULT_CAP,
     EnsembleStats,
     _count,
+    _count_dtype,
+    _ensemble,
+    _levels,
     _walk,
     check_cap,
     deviation_band,
@@ -179,8 +182,9 @@ def test_cumulative_stats_against_direct_walk():
 
 
 def reference_stats(instance, params, l, epsilon=0.0, cap=DEFAULT_CAP):
-    """cumulative_stats with the dict S_l histogram and per-mode total lists
-    that the packed aggregate replaced, on the same memoized walk."""
+    """cumulative_stats with a dict S_l histogram and per-mode total lists,
+    folded over the same levels by `_walk` rather than read off them with
+    array sums."""
     delta = deviation_band(instance.n, epsilon)
     check_cap(instance, cap)
     lams = instance.mode_weights_scaled()
@@ -243,8 +247,8 @@ def golden_crosscheck():
 
 
 def wide_digit_instance():
-    # comb(69, 29) > 2^64 compositions ignoring the budget: the packed
-    # digits are 71 bits wide, past any machine word
+    # comb(69, 29) > 2^64 compositions ignoring the budget: the walk's
+    # counts leave int64 and are Python ints
     return build_instance(["1"] * 31, 0, 40, "1160")
 
 
@@ -280,6 +284,215 @@ def test_stats_match_the_dict_aggregate(case):
         params = UNIFORM if inst.n == 0 else solve_params(inst)
         got = cumulative_stats(inst, params, l, cap=cap)
         assert got == reference_stats(inst, params, l, cap=cap)
+
+
+def member_ensembles(inst):
+    """Per lead = 1..s - 1: (|M|, hist, totals) added up member by member
+    from the visitor walk, hist[a] counting the members whose first lead
+    parts sum to a and totals[t] summing part t."""
+    members = [c.parts for c in iter_compositions(inst)]
+    m = inst.size - 1
+    totals = [sum(parts[t] for parts in members) for t in range(m)]
+    out = {}
+    for lead in range(1, m + 1):
+        hist = [0] * (inst.n + 1)
+        for parts in members:
+            hist[sum(parts[:lead])] += 1
+        out[lead] = (len(members), hist, totals)
+    return out
+
+
+def small_integer_instance(rng):
+    """s <= 7, n <= 9 and prices 1..4 at scale 1, with the budget anywhere
+    from just under the cheapest energy to the top: many walk states
+    merge, and some instances have an empty M."""
+    s = rng.randint(2, 7)
+    n = rng.randint(0, 9)
+    prices = [str(rng.randint(1, 4)) for _ in range(s)]
+    lam = [sum(map(int, prices[j:])) for j in range(s)]
+    k = rng.randint(0 if n else 1, 2)
+    budget = rng.randint(max(0, n * lam[-1] - 2), n * lam[0]) + k * lam[0]
+    return build_instance(prices, k, k + n, str(max(budget, 1)), scale=1)
+
+
+ENSEMBLE_EDGES = {
+    "n = 0": build_instance(["1", "2", "3"], 2, 2, "12"),
+    "s = 2": build_instance(["3", "2"], 0, 5, "11", scale=1),
+    "empty M": build_example("5"),
+    # the most expensive completion fits: no state is ever opened
+    "every state closed at the root": build_instance(
+        ["1", "2", "3", "1.5"], 0, 5, None
+    ),
+    # s = 3: the root is the penultimate mode's state, closed by pair
+    "pair at the root": build_example("8"),
+}
+
+
+def assert_ensembles_match(inst):
+    lams = inst.mode_weights_scaled()
+    budget = inst.effective_budget_scaled()
+    for lead, want in member_ensembles(inst).items():
+        assert _ensemble(lams, inst.n, budget, lead) == want
+        total, hist, totals = want
+        if not total:
+            with pytest.raises(DegenerateBoundary):
+                cumulative_stats(inst, UNIFORM, lead + 1)
+            continue
+        stats = cumulative_stats(inst, UNIFORM, lead + 1, epsilon=-0.5)
+        center = predicted_cumulative(inst, UNIFORM, lead + 1)
+        bad = sum(c for a, c in enumerate(hist)
+                  if abs(a - center) >= stats.delta)
+        assert stats.total_count == total
+        assert stats.deviation_fraction == bad / total
+        assert stats.cumulative_mean == tuple(
+            Fraction(c, total) for c in accumulate(totals)
+        )
+
+
+@pytest.mark.parametrize("edge", list(ENSEMBLE_EDGES))
+def test_ensemble_edges_match_the_visitor_walk(edge):
+    # every l in 2..s, so l = s and l = s - 1 reach both histogram forms
+    # of the penultimate pair
+    assert_ensembles_match(ENSEMBLE_EDGES[edge])
+
+
+def test_ensembles_match_the_visitor_walk_on_merging_instances():
+    rng = random.Random(2207)
+    empty = 0
+    for _ in range(150):
+        inst = small_integer_instance(rng)
+        assert_ensembles_match(inst)
+        empty += count_configurations(inst) == 0
+    assert empty > 0
+
+
+# Prices near 10^15 at scale 10^6: the weights, budgets left and units *
+# lambda leave int64 although |M| is 30, so the walk's states are Python
+# ints and its counts int64.
+HUGE_PRICES = ["1000000000000000.5", "999999999999999.25",
+               "700000000000000.125", "300000000000000.75", "2"]
+
+
+def huge_weight_instance():
+    return build_instance(HUGE_PRICES, 1, 5, "9000000000000000")
+
+
+def test_walk_leaves_int64_at_its_bounds():
+    # n * lambda_2 = 2^63 - 2 keeps the states int64, 2^63 takes Python
+    # ints; both must count and histogram exactly
+
+    for lam2, dtype in ((2**62 - 1, np.int64), (2**62, object)):
+        inst = build_instance(["1", str(lam2 - 1), "1"], 0, 2, str(2**62),
+                              scale=1)
+        assert inst.n * inst.mode_weights_scaled()[0] == 2 * lam2
+        levels = _levels(inst.mode_weights_scaled(), inst.n,
+                         inst.effective_budget_scaled())
+        assert levels[0].units.dtype == dtype
+        assert_ensembles_match(inst)
+    # the counts compare max(n, 1) * comb(n + m - 1, m - 1) with 2^63:
+    # n at m = 1, and n * (n + 1) at m = 2
+    assert _count_dtype(2**63 - 1, 1) is np.int64
+    assert _count_dtype(2**63, 1) is object
+    assert _count_dtype(3037000499, 2) is np.int64
+    assert _count_dtype(3037000500, 2) is object
+
+
+def test_walk_past_int64_matches_the_visitor_walk_and_pins():
+    huge = huge_weight_instance()
+    lams = huge.mode_weights_scaled()
+    assert huge.n * lams[0] > 2**63
+    levels = _levels(lams, huge.n, huge.effective_budget_scaled())
+    assert levels[0].units.dtype == object
+    assert _count_dtype(huge.n, len(lams)) is np.int64
+    assert count_configurations(huge) == 30
+    assert_ensembles_match(huge)
+    # weights from the recursive walk over Python ints that the level
+    # sweep replaced
+    for beta, eps, weight in [
+        (1e-15, 0.1, "0x1.53a59ac5c2432p-3"),
+        (-1e-15, 0.25, "0x1.31c573cfdf638p+5"),
+        (3e-16, 0.25, "0x1.eef58c66b546ap-2"),
+    ]:
+        assert low_energy_shell_weight(huge, beta, eps).hex() == weight
+
+    wide = wide_digit_instance()
+    cap = 10**30
+    levels = _levels(wide.mode_weights_scaled(), wide.n,
+                     wide.effective_budget_scaled())
+    assert levels[0].units.dtype == np.int64
+    assert _count_dtype(wide.n, wide.size - 1) is object
+    total = 23720460024918468226
+    assert count_configurations(wide, cap) == total
+    params = solve_params(wide)
+    means = [Fraction(31627280033219656397, total),
+             Fraction(63254560066443732741, total),
+             Fraction(47440920049834120863, total // 2)]
+    for l, fraction in [(2, "0x1.ffec5342378d0p-1"),
+                        (16, "0x1.87801eea8bd96p-1"), (31, "0x0.0p+0")]:
+        stats = cumulative_stats(wide, params, l, cap=cap)
+        assert stats.total_count == total
+        assert stats.deviation_fraction.hex() == fraction
+        assert list(stats.cumulative_mean[:3]) == means
+        assert stats.cumulative_mean[-1] == wide.n
+    for beta, weight in [(0.05, "0x1.94e7b07db3e6dp-34"),
+                         (-0.05, "0x1.13ff4272ac399p+56")]:
+        assert low_energy_shell_weight(wide, beta, cap=cap).hex() == weight
+
+
+# Per golden crosscheck instance, from the recursive walk the level sweep
+# replaced: its memo entries (the open states before the penultimate
+# mode) and its pair calls (one per visit of a penultimate state that
+# fits does not close).
+RECURSIVE_WORK = {
+    "c030": (736, 28), "c042": (411, 248), "c017": (402, 389),
+    "c051": (1010, 123), "c028": (339, 667), "c037": (1132, 626),
+    "c010": (2787, 178), "c018": (3667, 384), "c007": (1618, 2112),
+    "c019": (3859, 1382), "c009": (2259, 4375), "c117": (8827, 3573),
+    "c002": (7244, 7980), "c015": (25855, 2167), "c016": (14615, 13169),
+}
+
+
+def test_sweep_work_on_the_golden_catalog():
+    # machine-independent: the sweep opens exactly the states the memo
+    # held, and merges the penultimate states the recursion visited
+    # one by one. One statistics call on the two largest walks traces
+    # less than the 6.2 MiB the recursive walk peaked at.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+    entries = json.loads(path.read_text())["crosscheck"]
+    assert {e["id"] for e in entries} == set(RECURSIVE_WORK)
+    for entry in entries:
+        inst = build_instance(entry["prices"], 0, entry["n"], entry["budget"])
+        levels = _levels(inst.mode_weights_scaled(), inst.n,
+                         inst.effective_budget_scaled())
+        assert len(levels) == inst.size - 2
+        opened = sum(int((~level.fit).sum()) for level in levels[:-1])
+        paired = int((~levels[-1].fit).sum())
+        memo, pairs = RECURSIVE_WORK[entry["id"]]
+        assert opened == memo
+        assert paired <= pairs
+        if entry["id"] in ("c015", "c016"):
+            params = solve_params(inst)
+            _, _, peak = traced_peak(
+                lambda: cumulative_stats(inst, params, entry["l"])
+            )
+            assert peak <= 6.2 * 2**20
+
+
+def test_shell_weight_matches_its_pinned_bits():
+    # float.hex of the weights that the recursive walk gave: about 60
+    # seeded instances (the empty shell and n = 0 among them), beta of
+    # both signs, epsilon 0.1 and 0.25
+    path = Path(__file__).parent / "data" / "shell_weight_pins.json"
+    pins = json.loads(path.read_text())
+    assert len(pins) == 240
+    for pin in pins:
+        inst = build_instance(*pin["instance"])
+        beta = float.fromhex(pin["beta"])
+        try:
+            got = low_energy_shell_weight(inst, beta, pin["epsilon"]).hex()
+        except DomainError:
+            got = "DomainError"
+        assert got == pin["weight"], pin
 
 
 def old_shell_weight(inst, beta, epsilon=0.25):
@@ -504,7 +717,7 @@ def test_shell_cut_beyond_float_range_is_an_input_error(epsilon):
 
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
 def test_non_finite_epsilon_is_an_input_error(epsilon, monkeypatch):
-    # rejected at any n, and before the statistics walk starts
+    # rejected at any n, and before the statistics walk builds a level
     for n in (0, 1, 6):
         with pytest.raises(InputError, match="epsilon must be finite"):
             deviation_band(n, epsilon)
@@ -514,7 +727,7 @@ def test_non_finite_epsilon_is_an_input_error(epsilon, monkeypatch):
     def no_walk(*args):
         raise AssertionError("walked")
 
-    monkeypatch.setattr(oracle, "_walk", no_walk)
+    monkeypatch.setattr(oracle, "_levels", no_walk)
     with pytest.raises(InputError, match="epsilon must be finite"):
         cumulative_stats(inst, params, 3, epsilon=epsilon)
 
@@ -818,8 +1031,8 @@ def test_one_composition_past_the_budget_fails_the_pilot():
 
 
 def test_walks_free_their_memo_without_a_gc_pass():
-    # the memoized walk's recursion is a reference cycle; its memo and its
-    # fits table must not wait for the cyclic collector to be freed
+    # no walk may leave its levels, its counts or its fits table for the
+    # cyclic collector to free
     inst = unit_price_family(15, "mean")
     params = solve_params(inst)
     golden, _ = golden_crosscheck()[13]  # the largest |M|, 2,647,857
