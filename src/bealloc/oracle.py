@@ -21,23 +21,25 @@ completion counts back from the last level, with stars-and-bars binomials
 for the closed suffixes. The ensemble statistics (|M|, the S_l histogram
 and per-mode totals, all exact integers) weigh each state by its prefix
 times its completion count. The shell weight is a sum of exp(-beta *
-energy) that is a product over modes, so it joins like the count; it is
-summed in log space, and is the count ratio at beta = 0. It folds
-per-state callbacks over the levels (`_walk`). Its closed form for a suffix
-is a complete homogeneous polynomial, tabulated by the log-space geometric
-prefix-sum recurrence that the partition layer runs for Z
+energy) that is a product over modes, so it is summed back like the
+count, in log space, and is the count ratio at beta = 0
+(`_log_shell_sum`). Each open state's children make one log-sum-exp:
+their terms and max are arrays, and the exps, sums and logs are
+math.exp, math.fsum and math.log per run. Its closed form for a suffix
+is a complete homogeneous polynomial, tabulated by the log-space
+geometric prefix-sum recurrence that the partition layer runs for Z
 (`partition.geometric_prefix_sums`). `enumerate --l` takes |M| from the
 statistics walk and runs no separate count walk.
 
-The walk's last two modes are closed too. A suffix from the penultimate
-mode puts v = 0..vmax units there and the rest on the last mode, whose
-completion always fits, so each aggregate supplies the join of those
-vmax + 1 closed forms in closed form (`_walk`'s pair): vmax + 1 members,
-their S_l histogram as a run of ones or a single bin, their per-mode totals
-from one triangular number, and the shell weight as the join of a slice of
-the last mode's table row. That level opens no states. A suffix's closed
-form depends only on its mode and units, so each walk computes it once per
-(mode, units).
+The sweep's last two modes are closed too (the pair). A suffix from the
+penultimate mode puts v = 0..vmax units there and the rest on the last
+mode, whose completion always fits, so each aggregate sums those vmax + 1
+closed forms in closed form: vmax + 1 members, their S_l histogram as a
+run of ones or a single bin, their per-mode totals from one triangular
+number, and the shell weight as a log-sum-exp over a slice of the last
+mode's table row. That level opens no states. A suffix's closed form
+depends only on its mode and units, so each aggregate computes it once
+per (mode, units).
 
 The sampler draws a proposal as n + m - 1 uniform values, whose m - 1
 smallest mark the bars of a stars-and-bars composition. It draws chunks
@@ -60,8 +62,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Callable, Iterator, Optional, TypeVar
+from itertools import accumulate, islice
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -82,8 +84,6 @@ _PILOT_TRIALS = 100_000
 _PILOT_RATE = 1e-4
 _CHUNK = 20_000
 _CELLS = 2**16  # uniform values per sampler block: 512 kB of doubles
-
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -223,11 +223,12 @@ class _Level:
     (units, budget left), sorted by both, each with units * lambda_last <=
     left.
 
-    fit marks the states that fits closes (units * lambda_i <= left). The
-    others, in state order, can put v = 0..vmax units on the mode, reps =
-    vmax + 1 choices. At the penultimate mode pair closes them; before it
-    they are open, and their children make one run each, reps long, from
-    starts, in v order. Child j is the next level's state kids[j].
+    fit marks the states whose every completion fits (units * lambda_i <=
+    left). The others, in state order, can put v = 0..vmax units on the
+    mode, reps = vmax + 1 choices. At the penultimate mode the pair closes
+    them (the rest goes on the last mode); before it they are open, and
+    their children make one run each, reps long, from starts, in v order.
+    Child j is the next level's state kids[j].
     """
 
     units: np.ndarray
@@ -287,55 +288,6 @@ def _levels(lams: tuple[int, ...], n: int, budget: int) -> list[_Level]:
         levels.append(_Level(units, fit, reps, starts, kids))
         units, left = kid_units[new], kid_left[new]
     return levels
-
-
-def _walk(
-    lams: tuple[int, ...],
-    n: int,
-    budget: int,
-    fits: Callable[[int, int], _T],
-    join: Callable[[int, list[_T]], _T],
-    pair: Callable[[int, int], _T],
-) -> _T:
-    """Aggregate over the compositions of n over lams with energy <= budget.
-
-    fits(i, units) is the closed form for a suffix from mode i whose every
-    completion fits; join(i, kids) combines kids[v], the aggregates of the
-    suffix after v units on mode i, v = 0..vmax. Below the root the cheapest
-    completion always fits, so kids is empty only when nothing fits at all.
-    pair(units, vmax) is the closed form of join(m - 2, [fits(m - 1,
-    units - v) for v in 0..vmax]): v units on the penultimate mode, the
-    rest on the last, whose completion always fits. The fold runs over
-    `_levels`, last level first: each state's aggregate is computed once,
-    and fits once per (i, units).
-    """
-    levels = _levels(lams, n, budget)
-    if not levels:
-        return join(0, [])
-    penult = len(lams) - 2
-    above: list[_T] = []
-    for i in reversed(range(len(levels))):
-        level = levels[i]
-        here: list = [None] * len(level.units)
-        values, where = np.unique(level.units[level.fit], return_inverse=True)
-        fitted = [fits(i, units) for units in values.tolist()]
-        for j, k in zip(np.flatnonzero(level.fit).tolist(), where.tolist()):
-            here[j] = fitted[k]
-        shut = np.flatnonzero(~level.fit).tolist()
-        reps = level.reps.tolist()
-        if i == penult:
-            for j, units, choices in zip(
-                shut, level.units[~level.fit].tolist(), reps
-            ):
-                here[j] = pair(units, choices - 1)
-        else:
-            kids = level.kids.tolist()
-            for j, start, choices in zip(shut, level.starts.tolist(), reps):
-                here[j] = join(
-                    i, [above[k] for k in kids[start : start + choices]]
-                )
-        above = here
-    return above[0]
 
 
 def _count_dtype(n: int, m: int):
@@ -477,7 +429,7 @@ def _ensemble(
     )
     hist = np.zeros(n + 1, dtype=dtype)
     totals = [0] * m
-    closed = [0] * m  # units per mode of the suffixes fits closes at t
+    closed = [0] * m  # units per mode of the fitting suffixes closed at t
     for i, (level, pre, post) in enumerate(zip(levels, before, after)):
         shut = ~level.fit
         units = level.units[level.fit]
@@ -561,6 +513,37 @@ def cumulative_stats(
     )
 
 
+def _log_shell_sum(
+    levels: list[_Level], logx: list[float], table: list[np.ndarray]
+) -> float:
+    """The root's log sum of exp(-beta * energy), summed back from the last
+    level: a state that fits weighs table[i][units]; an open state adds
+    v * log x_i to its kids' weights, v = 0..vmax, and takes the log of
+    the sum of their exps, shifted by their max. The exps, sums and logs
+    are math.exp, math.fsum and math.log, one call per term or run, so
+    the bits are those of a fold over one state at a time whatever the
+    order within a run."""
+    m = len(logx)
+    above = np.zeros(0)
+    for i in reversed(range(len(levels))):
+        level = levels[i]
+        here = np.empty(len(level.units))
+        here[level.fit] = table[i][level.units[level.fit].astype(np.intp)]
+        v = _steps(level.reps, level.starts, np.intp)
+        if i == m - 2:  # pair: units - v on the last mode
+            units = level.units[~level.fit].astype(np.intp)
+            kids = table[-1][np.repeat(units, level.reps) - v]
+        else:
+            kids = above[level.kids]
+        terms = v * logx[i] + kids
+        top = np.maximum.reduceat(terms, level.starts)
+        exps = map(math.exp, (terms - np.repeat(top, level.reps)).tolist())
+        sums = [math.fsum(islice(exps, r)) for r in level.reps.tolist()]
+        here[~level.fit] = top + np.array(list(map(math.log, sums)))
+        above = here
+    return float(above[0])
+
+
 def low_energy_shell_weight(
     instance: ProblemInstance,
     beta: float,
@@ -591,7 +574,7 @@ def low_energy_shell_weight(
     if beta == 0.0:
         return _count(lams, instance.n, cut) / total
 
-    # The weight is a product over modes, so it joins like the count. A
+    # The weight is a product over modes, so it sums back like the count. A
     # suffix from mode i where every completion fits weighs h_k(x_i, ...),
     # the complete homogeneous polynomial in x_j = exp(-beta * lambda_j),
     # tabulated for all k by h_k(x_i, ...) = sum_j x_i^(k-j) h_j(x_i+1, ...):
@@ -600,24 +583,10 @@ def low_energy_shell_weight(
     logx = [-beta * (lam / instance.scale) for lam in lams]
     table = list(geometric_prefix_sums(instance.n, reversed(logx)))
     table.reverse()
-
-    def join(i: int, kids: list[float]) -> float:
-        if not kids:  # the empty shell
-            return -math.inf
-        terms = [v * logx[i] + w for v, w in enumerate(kids)]
-        top = max(terms)
-        return top + math.log(math.fsum(math.exp(t - top) for t in terms))
-
-    # the last mode's fits, as the floats that fits returns
-    last = table[-1].tolist()
-    penult = len(lams) - 2
-
-    def pair(units: int, vmax: int) -> float:
-        return join(penult, last[units - vmax : units + 1][::-1])
-
-    log_weight = _walk(
-        lams, instance.n, cut, lambda i, u: float(table[i][u]), join, pair
-    )
+    levels = _levels(lams, instance.n, cut)
+    if not levels:  # the empty shell
+        return 0.0
+    log_weight = _log_shell_sum(levels, logx, table)
     try:
         return math.exp(log_weight - math.log(total))
     except OverflowError:

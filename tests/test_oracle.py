@@ -42,7 +42,6 @@ from bealloc.oracle import (
     _count_dtype,
     _ensemble,
     _levels,
-    _walk,
     check_cap,
     deviation_band,
     shell_budget,
@@ -179,6 +178,49 @@ def test_cumulative_stats_against_direct_walk():
             )
             assert stats.cumulative_mean[idx] == mean
         assert stats.cumulative_mean[-1] == inst.n
+
+
+def _walk(lams, n, budget, fits, join, pair):
+    """Aggregate over the compositions of n over lams with energy <= budget.
+
+    fits(i, units) is the closed form for a suffix from mode i whose every
+    completion fits; join(i, kids) combines kids[v], the aggregates of the
+    suffix after v units on mode i, v = 0..vmax. Below the root the cheapest
+    completion always fits, so kids is empty only when nothing fits at all.
+    pair(units, vmax) is the closed form of join(m - 2, [fits(m - 1,
+    units - v) for v in 0..vmax]): v units on the penultimate mode, the
+    rest on the last, whose completion always fits. The fold runs over
+    `_levels`, last level first: each state's aggregate is computed once,
+    and fits once per (i, units). A test-only reference: the oracle reads
+    its aggregates off the levels with array sums.
+    """
+    levels = _levels(lams, n, budget)
+    if not levels:
+        return join(0, [])
+    penult = len(lams) - 2
+    above = []
+    for i in reversed(range(len(levels))):
+        level = levels[i]
+        here = [None] * len(level.units)
+        values, where = np.unique(level.units[level.fit], return_inverse=True)
+        fitted = [fits(i, units) for units in values.tolist()]
+        for j, k in zip(np.flatnonzero(level.fit).tolist(), where.tolist()):
+            here[j] = fitted[k]
+        shut = np.flatnonzero(~level.fit).tolist()
+        reps = level.reps.tolist()
+        if i == penult:
+            for j, units, choices in zip(
+                shut, level.units[~level.fit].tolist(), reps
+            ):
+                here[j] = pair(units, choices - 1)
+        else:
+            kids = level.kids.tolist()
+            for j, start, choices in zip(shut, level.starts.tolist(), reps):
+                here[j] = join(
+                    i, [above[k] for k in kids[start : start + choices]]
+                )
+        above = here
+    return above[0]
 
 
 def reference_stats(instance, params, l, epsilon=0.0, cap=DEFAULT_CAP):
@@ -493,6 +535,43 @@ def test_shell_weight_matches_its_pinned_bits():
         except DomainError:
             got = "DomainError"
         assert got == pin["weight"], pin
+
+
+def test_shell_weight_matches_its_edge_pins():
+    # float.hex of the weights that the per-state callback fold (`_walk`)
+    # gave on the sweep's edges: s = 2 and s = 3 (the root level is the
+    # penultimate one), n = 0, the empty shell, a root that fits closes,
+    # object-dtype states, and the wide-digit and n = 20 unit family
+    # instances with the cap lifted
+    path = Path(__file__).parent / "data" / "shell_weight_edge_pins.json"
+    pins = json.loads(path.read_text())
+    assert len(pins) == 52
+    for pin in pins:
+        if "build" in pin:
+            inst = build_instance(*pin["build"])
+        else:
+            inst = unit_price_family(*pin["family"])
+        beta = float.fromhex(pin["beta"])
+        cap = pin.get("cap", DEFAULT_CAP)
+        got = low_energy_shell_weight(inst, beta, pin["epsilon"], cap)
+        assert got.hex() == pin["weight"], pin
+
+
+def test_shell_weight_builds_the_levels_once(monkeypatch):
+    # with |M| handed in, a weight at beta != 0 is one sweep of the shell
+    inst = unit_price_family(8, "mean")
+    total = count_configurations(inst)
+    want = low_energy_shell_weight(inst, 0.05, total=total)
+    budgets = []
+    levels = oracle._levels
+
+    def recording(lams, n, budget):
+        budgets.append((n, budget))
+        return levels(lams, n, budget)
+
+    monkeypatch.setattr(oracle, "_levels", recording)
+    assert low_energy_shell_weight(inst, 0.05, total=total) == want
+    assert budgets == [(inst.n, shell_budget(inst, 0.25))]
 
 
 def old_shell_weight(inst, beta, epsilon=0.25):
