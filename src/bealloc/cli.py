@@ -254,11 +254,12 @@ def _sampled_row_stats(
 ) -> tuple[float, float]:
     """Estimate deviation fraction and shell weight from uniform draws.
 
-    Works on the draw matrix: S_l is a row sum, and a draw is in the shell
+    Works on the draw matrix, drawn only up to its last row
+    (`oracle.draw_parts`): S_l is a row sum, and a draw is in the shell
     when its exact scaled energy is within `oracle.shell_budget`. The shell
     terms exp(-beta * energy) are added one by one in draw order.
     """
-    parts = oracle.sample_uniform(inst, samples, seed).parts
+    parts = oracle.draw_parts(inst, samples, seed)
     center = solver.predicted_cumulative(inst, params, l)
     s_l = parts[:, : l - 1].sum(axis=1)
     deviations = int(np.count_nonzero(np.abs(s_l - center) >= delta))

@@ -46,13 +46,21 @@ smallest mark the bars of a stars-and-bars composition. It draws chunks
 of _CHUNK proposals, each as a run of row blocks of about _CELLS values,
 so a block's sort and mask stay in cache and memory stays bounded
 whatever n + m - 1 is. The generator fills row-major, so the blocks of a
-chunk hold exactly the chunk's values. It reads a block's bars off one
-value sort: the (m-1)-th smallest value of a row is its threshold, and
-the positions at or below it, in order, are the row's bars (a block with
-a tie at a threshold falls back to argpartition). A proposal's scaled
-energy is linear in its bar positions, so acceptance is decided on the
-bars, and only the accepted rows are turned into compositions. The
-acceptance rate, and the pilot that checks it, count whole chunks.
+chunk hold exactly the chunk's values. A block is drawn as the raw
+64-bit PCG64 words w that Generator.random turns into the doubles
+(w >> 11) * 2^-53. Only the values' order matters, and a smaller top 32
+bits means a smaller double, so a block's bars are read off one sort of
+those 32-bit keys (`_word_bars`): the (m-1)-th smallest key of a row is
+its threshold, and the positions at or below it, in order, are the
+row's bars. A block with a tie at a threshold in the keys rebuilds its
+doubles exactly and sorts them (`_sorted_bars`), and one with a tie in
+the doubles falls back to argpartition. A proposal's scaled energy is
+linear in its bar positions, so acceptance is decided on the bars, and
+only the accepted rows are turned into compositions; once count are
+kept, the rest of the chunk is only counted. The acceptance rate, and
+the pilot that checks it, count whole chunks. `sample_uniform` reads
+that block stream (`_draws`) to its chunk's end, `draw_parts` only up
+to the block of its last kept draw, with the same draws and errors.
 When n = 0 or m = 1, M has one composition at most, and its fit is
 decided once, with no proposals drawn.
 """
@@ -83,7 +91,7 @@ DEFAULT_CAP = 10**8
 _PILOT_TRIALS = 100_000
 _PILOT_RATE = 1e-4
 _CHUNK = 20_000
-_CELLS = 2**16  # uniform values per sampler block: 512 kB of doubles
+_CELLS = 2**16  # raw words per sampler block: 512 kB
 
 
 @dataclass(frozen=True)
@@ -623,20 +631,41 @@ def _bar_weights(
     return np.array(diffs, dtype=object), const
 
 
-def _sorted_bars(u: np.ndarray, k: int) -> np.ndarray:
-    """Column positions of the k smallest values of each row of u, in
+def _bars_at_threshold(values: np.ndarray, k: int) -> Optional[np.ndarray]:
+    """Column positions of the k smallest values of each row of values, in
     increasing order: the entries at or below the row's k-th smallest
-    value, read off one value sort and one mask. A tie at that value puts
-    more than k entries under it; such a block takes argpartition, which
-    gives the same positions."""
-    rows, slots = u.shape
+    value, read off one value sort and one mask. None when a tie at some
+    row's threshold puts more than k entries under it."""
+    rows, slots = values.shape
     # a copy, so the sorted matrix is freed at once
-    threshold = np.sort(u, axis=1)[:, k - 1].copy()
-    flat = np.flatnonzero(u <= threshold[:, None])
+    threshold = np.sort(values, axis=1)[:, k - 1].copy()
+    flat = np.flatnonzero(values <= threshold[:, None])
     if flat.size != rows * k:
-        return np.sort(np.argpartition(u, k - 1, axis=1)[:, :k], axis=1)
+        return None
     bars = flat.reshape(rows, k)
     bars -= np.arange(0, rows * slots, slots)[:, None]
+    return bars
+
+
+def _sorted_bars(u: np.ndarray, k: int) -> np.ndarray:
+    """Column positions of the k smallest values of each row of u, in
+    increasing order (`_bars_at_threshold`). A block with a tie at a
+    threshold takes argpartition, which gives the same positions."""
+    bars = _bars_at_threshold(u, k)
+    if bars is None:
+        return np.sort(np.argpartition(u, k - 1, axis=1)[:, :k], axis=1)
+    return bars
+
+
+def _word_bars(words: np.ndarray, k: int) -> np.ndarray:
+    """`_sorted_bars` of the doubles (w >> 11) * 2^-53 that
+    Generator.random makes of the raw 64-bit words w, read off their top
+    32 bits. A smaller key means a smaller double, so a row with exactly k
+    keys at or below its threshold has the doubles' bars. A block with a
+    tie at a threshold in those 32 bits rebuilds its doubles, exactly."""
+    bars = _bars_at_threshold((words >> 32).astype(np.uint32), k)
+    if bars is None:
+        return _sorted_bars((words >> 11) * 2.0**-53, k)
     return bars
 
 
@@ -656,23 +685,21 @@ def _low_acceptance(accepted: int, drawn: int) -> LowAcceptance:
     )
 
 
-def sample_uniform(
-    instance: ProblemInstance, count: int, seed: int = 0
-) -> SampleResult:
-    """Uniform rejection sampling from M, deterministic per seed.
+def _draws(
+    instance: ProblemInstance, count: int, seed: int
+) -> Iterator[tuple[np.ndarray, int, int]]:
+    """The sampler's block stream: per block, (the accepted compositions
+    still wanted toward count, in the order drawn; the proposals the block
+    accepted; the proposals it drew).
 
-    Proposals are uniform compositions drawn by the stars-and-bars bijection
-    (a uniform (m-1)-subset of n+m-1 slot positions: those of the m-1
-    smallest of n+m-1 uniform values); a proposal is accepted iff its exact
-    scaled energy, read from its bar positions, fits the budget. Chunks of
-    _CHUNK proposals are drawn and decided per block of about _CELLS
-    values, so memory does not grow with n + m - 1 past one row. The first
-    count accepted draws are returned as the rows of SampleResult.parts;
-    the rate is accepted over drawn proposals, whole chunks, so the last
-    chunk's accepted draws past count enter it too. Raises LowAcceptance
-    when fewer than 1 in 10^4 proposals survive a 10^5-trial pilot. When
-    n = 0 or m = 1, M holds one composition at most: it is returned count
-    times at rate 1.0 if it fits, and if not the pilot fails at rate 0.
+    Chunks of _CHUNK proposals are drawn, as row blocks of about _CELLS raw
+    words, until a chunk ends with count accepted; past count a block's
+    accepted proposals are only counted. A chunk that ends at or past
+    the pilot's 10^5 trials short of count, with fewer than 1 in 10^4
+    proposals accepted, raises LowAcceptance. When n = 0 or m = 1, M
+    holds one composition at most: one block of it count times, with no
+    proposals drawn, if it fits, and if not the pilot fails at rate 0
+    (for any count > 0).
     """
     check_sampling(count, seed)
     m = instance.size - 1
@@ -684,30 +711,80 @@ def sample_uniform(
         # chunks up to the pilot would have been rejected
         if count and n * sum(instance.mode_weights_scaled()) > budget:
             raise _low_acceptance(0, -(-_PILOT_TRIALS // _CHUNK) * _CHUNK)
-        parts = np.full((count, m), n, dtype=np.int64)
-        parts.flags.writeable = False
-        return SampleResult(parts, 1.0, seed)
+        yield np.full((count, m), n, dtype=np.int64), count, 0
+        return
 
     slots = n + m - 1
     diffs, const = _bar_weights(instance.mode_weights_scaled(), slots)
     rows = max(1, _CELLS // slots)
-    rng = np.random.default_rng(seed)
-    kept = [np.zeros((0, m), dtype=np.int64)]
+    draw = np.random.default_rng(seed).bit_generator.random_raw
+    none = np.zeros((0, m), dtype=np.int64)
     accepted = drawn = 0
     while accepted < count:
         for start in range(0, _CHUNK, rows):
-            shape = (min(rows, _CHUNK - start), slots)
-            bars = _sorted_bars(rng.random(shape), m - 1)
+            block = min(rows, _CHUNK - start)
+            bars = _word_bars(draw((block, slots)), m - 1)
             energies = bars.astype(diffs.dtype, copy=False) @ diffs + const
-            ok = bars[energies <= budget]
+            fits = energies <= budget
+            kept = none  # past count, a block is only counted
             if accepted < count:
-                kept.append(_parts_from_bars(ok[: count - accepted], slots))
-            accepted += len(ok)
+                kept = _parts_from_bars(bars[fits][: count - accepted], slots)
+            taken = int(np.count_nonzero(fits))
+            yield kept, taken, block
+            accepted += taken
         drawn += _CHUNK
         if drawn >= _PILOT_TRIALS and accepted < count:
             if accepted / drawn < _PILOT_RATE:
                 raise _low_acceptance(accepted, drawn)
 
+
+def _read_only(kept: list[np.ndarray]) -> np.ndarray:
     parts = np.concatenate(kept)
     parts.flags.writeable = False
-    return SampleResult(parts, accepted / drawn if drawn else 1.0, seed)
+    return parts
+
+
+def sample_uniform(
+    instance: ProblemInstance, count: int, seed: int = 0
+) -> SampleResult:
+    """Uniform rejection sampling from M, deterministic per seed.
+
+    Proposals are uniform compositions drawn by the stars-and-bars bijection
+    (a uniform (m-1)-subset of n+m-1 slot positions: those of the m-1
+    smallest of n+m-1 uniform values); a proposal is accepted iff its exact
+    scaled energy, read from its bar positions, fits the budget. Chunks of
+    _CHUNK proposals are drawn and decided per block of about _CELLS
+    values (`_draws`), so memory does not grow with n + m - 1 past one
+    row. The first
+    count accepted draws are returned as the rows of SampleResult.parts;
+    the rate is accepted over drawn proposals, whole chunks, so the last
+    chunk's accepted draws past count enter it too. Raises LowAcceptance
+    when fewer than 1 in 10^4 proposals survive a 10^5-trial pilot. When
+    n = 0 or m = 1, M holds one composition at most: it is returned count
+    times at rate 1.0 if it fits, and if not the pilot fails at rate 0.
+    """
+    kept = [np.zeros((0, instance.size - 1), dtype=np.int64)]
+    accepted = drawn = 0
+    for parts, taken, block in _draws(instance, count, seed):
+        kept.append(parts)
+        accepted += taken
+        drawn += block
+    return SampleResult(
+        _read_only(kept), accepted / drawn if drawn else 1.0, seed
+    )
+
+
+def draw_parts(
+    instance: ProblemInstance, count: int, seed: int = 0
+) -> np.ndarray:
+    """sample_uniform(instance, count, seed).parts, drawn only up to the
+    block of its last row: the same draws and errors, without the rate,
+    which counts whole chunks."""
+    kept = [np.zeros((0, instance.size - 1), dtype=np.int64)]
+    wanted = count
+    for parts, _, _ in _draws(instance, count, seed):
+        kept.append(parts)
+        wanted -= len(parts)
+        if wanted == 0:
+            break
+    return _read_only(kept)

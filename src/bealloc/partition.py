@@ -211,13 +211,17 @@ def _contour_product(
 
     Multiplies the factors in blocks of BLOCK_MODES rows and rescales the
     mantissa to modulus [0.5, 1) after every block, so no step leaves float
-    range and only BLOCK_MODES x grid factors are held at once.
+    range and only BLOCK_MODES x grid factors are held at once. The ratios
+    are cast to complex once, exactly: each block's outer product is then
+    numpy's complex loop, the one a float x complex product runs after a
+    buffered cast of every block, so the bits are the same.
     """
     mantissa = np.ones(turn.shape, dtype=complex)
     exponent = np.zeros(turn.shape, dtype=np.int64)
     block = np.empty((BLOCK_MODES, turn.size), dtype=complex)
+    ratios = r.astype(complex)
     for start in range(0, r.size, BLOCK_MODES):
-        chunk = r[start : start + BLOCK_MODES]
+        chunk = ratios[start : start + BLOCK_MODES]
         factors = block[: chunk.size]
         np.multiply.outer(chunk, turn, out=factors)
         np.subtract(1.0, factors, out=factors)

@@ -11,7 +11,9 @@ import sys
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import bealloc
@@ -223,6 +225,36 @@ def test_verify_walks_each_row_once(capsys, monkeypatch):
         # the beta = 0 shell count, below the budget
         assert budgets.count((n, oracle.shell_budget(inst, 0.25))) == 1
     assert len(budgets) == 8
+
+
+def test_verify_stops_each_row_at_its_last_kept_draw(capsys, monkeypatch):
+    # a sampled row keeps 2,000 draws at acceptance about 1/2: it draws a
+    # few blocks of words, not a whole 20,000-proposal chunk; the report
+    # is unchanged
+    _, plain, _ = run(capsys, ["verify", "--samples", "2000", "--seed", "0"])
+    real = np.random.default_rng
+    drawn = []  # [words, slots] per generator, one per sampled row
+
+    def counting(seed):
+        words = real(seed).bit_generator.random_raw
+        row = [0, None]
+        drawn.append(row)
+
+        def random_raw(shape):
+            row[0] += shape[0] * shape[1]
+            row[1] = shape[1]
+            return words(shape)
+
+        return SimpleNamespace(
+            bit_generator=SimpleNamespace(random_raw=random_raw)
+        )
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    code, out, _ = run(capsys, ["verify", "--samples", "2000", "--seed", "0"])
+    assert (code, out) == (0, plain)
+    assert len(drawn) == 6
+    for words, slots in drawn:
+        assert 0 < words < oracle._CHUNK * slots
 
 
 def test_verify_sampled_extends_the_ladder(capsys):
@@ -606,6 +638,7 @@ def test_bad_sampling_flags_are_rejected_before_any_work(
     monkeypatch.setattr(oracle, "count_configurations", fail)
     monkeypatch.setattr(oracle, "cumulative_stats", fail)
     monkeypatch.setattr(oracle, "sample_uniform", fail)
+    monkeypatch.setattr(oracle, "draw_parts", fail)
     monkeypatch.setattr(solver, "solve_params", fail)
     instance = [] if command == "verify" else [
         "--prices", prices_file, "--min-shares", "0", "--max-shares", "2",
@@ -1132,3 +1165,41 @@ def test_crosscheck_matches_the_golden_catalog(capsys, tmp_path):
             out.encode()
         ).hexdigest()
     assert digests == CROSSCHECK_SHA256
+
+
+# sha256 of the stdout of zcheck on the first variant of every golden class
+# at its catalog --beta, and of three runs that fit beta from a --budget at
+# 40 % of the attainable range, recorded before the contour product took
+# its ratios as complex numbers and the sampler sorted 32-bit keys.
+ZCHECK_SHA256 = json.loads(
+    (Path(__file__).parent / "data" / "zcheck_digests.json").read_text()
+)
+ZCHECK_FITTED_BUDGETS = {0: "2332.1", 8: "118258.4", 13: "803294.16"}
+
+
+def zcheck_digest_argvs(tmp_path):
+    """{name: argv} of every pinned zcheck run."""
+    argvs = {}
+    for i, cls in enumerate(json.loads(GOLDEN.read_text())["zcheck"]):
+        entry = cls["variants"][0]
+        name = f"z-n{cls['n0']}-s{cls['s']}-{entry['id']}"
+        path = tmp_path / f"{name}.csv"
+        path.write_text("".join(f"{p}\n" for p in entry["prices"]))
+        argv = ["zcheck", "--prices", str(path), "--min-shares", "0",
+                "--max-shares", str(cls["n0"])]
+        argvs[f"{name} beta"] = [*argv, "--beta", entry["beta"]]
+        if i in ZCHECK_FITTED_BUDGETS:
+            argvs[f"{name} fitted"] = [
+                *argv, "--budget", ZCHECK_FITTED_BUDGETS[i]
+            ]
+    return argvs
+
+
+def test_zcheck_reports_match_their_pinned_digests(capsys, tmp_path):
+    digests = {}
+    for name, argv in zcheck_digest_argvs(tmp_path).items():
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), name
+        digests[name] = hashlib.sha256(out.encode()).hexdigest()
+    assert len(digests) == 18
+    assert digests == ZCHECK_SHA256

@@ -947,6 +947,17 @@ SAMPLER_CASES = {
                                 "2000000000000"], 0, 3, "10000000000000"),
         300,
     ),
+    # one bar: weights (5, 3), energies 90..150 under a budget of 120
+    "m = 2": (lambda: build_instance(["1", "2", "3"], 0, 30, "120"), 900),
+    # one star over 5 modes, 3 of which fit
+    "n = 1": (
+        lambda: build_instance(["1", "2", "3", "4", "5", "6"], 0, 1, "15"),
+        500,
+    ),
+    # about 327 draws kept per 655-row block: the count is reached in the
+    # first block, and the rest of the chunk is only counted
+    "first block": (many_block_instance, 100),
+    "count = 0": (many_block_instance, 0),
 }
 
 
@@ -972,43 +983,77 @@ def test_sampler_matches_the_row_loop(case):
             result.parts[0, 0] = 1
 
 
-class TiedGenerator:
-    """numpy's generator for a seed, except that the first block it draws
-    ties row 0's (bars + 1)-th smallest value to its bars-th smallest."""
+def test_raw_words_make_the_generators_doubles():
+    # Generator.random turns each raw word w into (w >> 11) * 2^-53, in
+    # the same order, and the 32-bit keys give the doubles' bars
+    for seed, shape, k in ((0, (300, 7), 1), (5, (40, 101), 50),
+                           (12345, (1, 65536), 65535)):
+        words = np.random.default_rng(seed).bit_generator.random_raw(shape)
+        u = np.random.default_rng(seed).random(shape)
+        assert np.array_equal((words >> 11) * 2.0**-53, u)
+        assert np.array_equal(
+            oracle._word_bars(words, k), oracle._sorted_bars(u, k)
+        )
 
-    def __init__(self, real, seed, bars):
-        self._rng = real(seed)
+
+class TiedBitGenerator:
+    """numpy's PCG64 stream for a seed, except that the first block of raw
+    words it draws ties row 0's (bars + 1)-th smallest word to its
+    bars-th smallest in the top 32 bits, and in all 64 unless low_bits.
+    random() makes its doubles from these words as Generator.random does,
+    so the row loop of `reference_sample` draws the same values."""
+
+    def __init__(self, real, seed, bars, low_bits=False):
+        self._words = real(seed).bit_generator.random_raw
         self._bars = bars
+        self._low_bits = low_bits
         self._tied = False
+        self.bit_generator = self
 
-    def random(self, shape):
-        u = self._rng.random(shape)
+    def random_raw(self, shape):
+        w = self._words(shape)
         if not self._tied:
             self._tied = True
-            order = np.argsort(u[0])
-            u[0, order[self._bars]] = u[0, order[self._bars - 1]]
-        return u
+            order = np.argsort(w[0])
+            tied = w[0, order[self._bars - 1]]
+            if self._low_bits:  # flip bit 31: another double, the same key
+                tied ^= np.uint64(2**31)
+            w[0, order[self._bars]] = tied
+        return w
+
+    def random(self, shape):
+        return (self.random_raw(shape) >> 11) * 2.0**-53
+
+
+def tied_sampler_calls(monkeypatch, inst, low_bits):
+    """Patch numpy's generator with TiedBitGenerator and count the calls of
+    oracle._sorted_bars and np.argpartition, by name."""
+    real_rng = np.random.default_rng
+    calls = []
+    for owner, name in ((oracle, "_sorted_bars"), (np, "argpartition")):
+        def counting(*args, _real=getattr(owner, name), _name=name,
+                     **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    monkeypatch.setattr(
+        np.random, "default_rng",
+        lambda seed: TiedBitGenerator(real_rng, seed, inst.size - 2,
+                                      low_bits),
+    )
+    return calls
 
 
 def test_sampler_takes_argpartition_on_a_tie_at_the_threshold(monkeypatch):
     # two chunks of 20,000 proposals (acceptance ~0.13) in blocks of
-    # oracle._CELLS values: the tied first block holds m bars at or below
-    # row 0's threshold, one too many for the mask, and takes
-    # argpartition; no other block does
+    # oracle._CELLS words: the tied first block holds m keys and m doubles
+    # at or below row 0's threshold, one too many for either mask, and
+    # takes argpartition; no other block does
     inst = random_instance(random.Random(21), 12, 12)
     m = inst.size - 1
-    real_rng, real_argpartition = np.random.default_rng, np.argpartition
-    calls = []
-
-    def counting_argpartition(*args, **kwargs):
-        calls.append(None)
-        return real_argpartition(*args, **kwargs)
-
-    monkeypatch.setattr(np, "argpartition", counting_argpartition)
-    monkeypatch.setattr(
-        np.random, "default_rng",
-        lambda seed: TiedGenerator(real_rng, seed, m - 1),
-    )
+    real_argpartition = np.argpartition
+    calls = tied_sampler_calls(monkeypatch, inst, low_bits=False)
     u = np.random.default_rng(3).random((4, inst.n + m - 1))
     threshold = np.sort(u, axis=1)[:, m - 2]
     assert np.count_nonzero(u <= threshold[:, None]) == 4 * (m - 1) + 1
@@ -1017,10 +1062,82 @@ def test_sampler_takes_argpartition_on_a_tie_at_the_threshold(monkeypatch):
     ).tolist()
     calls.clear()
     result = sample_uniform(inst, 3000, seed=5)
-    assert len(calls) == 1
+    assert calls.count("argpartition") == 1
     comps, rate = reference_sample(inst, 3000, 5)
     assert result.acceptance_rate == rate
     assert result.compositions == comps
+
+
+def test_sampler_rebuilds_the_doubles_on_a_tie_of_the_keys(monkeypatch):
+    # row 0 of the first block ties at its threshold in the top 32 bits
+    # only: that block sorts its doubles, which do not tie, and no block
+    # takes argpartition
+    inst = random_instance(random.Random(21), 12, 12)
+    m = inst.size - 1
+    calls = tied_sampler_calls(monkeypatch, inst, low_bits=True)
+    words = np.random.default_rng(3).bit_generator.random_raw(
+        (4, inst.n + m - 1)
+    )
+    keys = words >> 32
+    threshold = np.sort(keys, axis=1)[:, m - 2]
+    assert np.count_nonzero(keys <= threshold[:, None]) == 4 * (m - 1) + 1
+    u = (words >> 11) * 2.0**-53
+    threshold = np.sort(u, axis=1)[:, m - 2]
+    assert np.count_nonzero(u <= threshold[:, None]) == 4 * (m - 1)
+    result = sample_uniform(inst, 3000, seed=5)
+    assert calls == ["_sorted_bars"]
+    comps, rate = reference_sample(inst, 3000, 5)
+    assert result.acceptance_rate == rate
+    assert result.compositions == comps
+
+
+def low_rate_instance():
+    """n = 12 units over m = 12 unit-price modes under budget 19: 45 of
+    1,352,078 proposals fit, a rate of 3.3e-5, below the pilot's 10^-4."""
+    return build_instance(["1"] * 13, 0, 12, "19")
+
+
+def sampler_outcome(sample, inst, count, seed):
+    """The parts sample draws, or the text of its LowAcceptance."""
+    try:
+        return sample(inst, count, seed)
+    except LowAcceptance as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", SAMPLER_CASES)
+def test_draw_parts_are_the_samplers_first_rows(case):
+    make, count = SAMPLER_CASES[case]
+    inst = make()
+    for seed in (0, 1, 7, 12345):
+        parts = oracle.draw_parts(inst, count, seed)
+        assert parts.dtype == np.int64
+        assert not parts.flags.writeable
+        assert np.array_equal(parts, sample_uniform(inst, count, seed).parts)
+
+
+def sampled_parts(inst, count, seed):
+    return sample_uniform(inst, count, seed).parts
+
+
+def test_draw_parts_fail_the_pilot_where_the_sampler_does():
+    outcomes = []
+    for inst, count, seed in [
+        *((low_rate_instance(), c, s) for c in (1, 2, 4, 50) for s in (0, 3)),
+        (from_fractions([Fraction(1)] * 20, 0, 20, Fraction(20)), 10, 0),
+        (build_instance(["1", "2"], 0, 3, "5"), 10, 0),  # m = 1, no fit
+        (build_instance(["1", "2"], 0, 3, "5"), 0, 0),
+    ]:
+        want = sampler_outcome(sampled_parts, inst, count, seed)
+        got = sampler_outcome(oracle.draw_parts, inst, count, seed)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+        outcomes.append(isinstance(want, str))
+    # at rate 3.3e-5 the pilot passes 1 and 2 draws, fails 50, and fails 4
+    # at one seed only
+    assert outcomes == [False] * 4 + [True, False] + [True] * 4 + [False]
 
 
 def bar_energy_instance(past):
