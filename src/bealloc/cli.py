@@ -266,8 +266,9 @@ def _sampled_row_stats(
     energies = oracle.scaled_energies(inst, parts)
     in_shell = energies <= oracle.shell_budget(inst, _SHELL_EPSILON)
     shell = 0.0
+    scale, beta = inst.scale, params.beta
     for energy in energies[in_shell].tolist():
-        shell += math.exp(-params.beta * (energy / inst.scale))
+        shell += math.exp(-beta * (energy / scale))
     return deviations / samples, shell / samples
 
 

@@ -10,11 +10,12 @@ reference. The level sweep (`_levels`) also closes every suffix whose most
 expensive completion still fits into a closed form. It holds one frontier
 per mode: the distinct states (units, budget left) as a pair of numpy
 arrays. The open states expand to all their children at once, and equal
-children merge after one lexsort per level, so a state reached by many
-prefixes is walked once. The state arrays are int64 while units * lambda
-and the budget fit, and the count arrays while every count and total
-fits; past its bound each is an object array of Python ints, chosen by one
-comparison (`_levels`, `_count_dtype`).
+children merge after one argsort per level of one integer key per child,
+units * (budget + 1) + left, so a state reached by many prefixes is walked
+once. The state arrays are int64 while units * lambda and the key fit,
+and the count arrays while every count and total fits; past its bound
+each is an object array of Python ints, chosen by one comparison
+(`_levels`, `_count_dtype`).
 
 The sweep's aggregates are read off its levels. The count |M| sums
 completion counts back from the last level, with stars-and-bars binomials
@@ -53,14 +54,13 @@ bits means a smaller double, so a block's bars are read off one sort of
 those 32-bit keys (`_word_bars`): the (m-1)-th smallest key of a row is
 its threshold, and the positions at or below it, in order, are the
 row's bars. A block with a tie at a threshold in the keys rebuilds its
-doubles exactly and sorts them (`_sorted_bars`), and one with a tie in
-the doubles falls back to argpartition. A proposal's scaled energy is
-linear in its bar positions, so acceptance is decided on the bars, and
-only the accepted rows are turned into compositions; once count are
-kept, the rest of the chunk is only counted. The acceptance rate, and
-the pilot that checks it, count whole chunks. `sample_uniform` reads
-that block stream (`_draws`) to its chunk's end, `draw_parts` only up
-to the block of its last kept draw, with the same draws and errors.
+doubles exactly and takes argpartition on them. A proposal's scaled
+energy is linear in its bar positions, so acceptance is decided on the
+bars, and only the accepted rows are turned into compositions; once
+count are kept, the rest of the chunk is only counted. The acceptance
+rate, and the pilot that checks it, count whole chunks. `sample_uniform`
+reads that block stream (`_draws`) to its chunk's end, `draw_parts` only
+up to the block of its last kept draw, with the same draws and errors.
 When n = 0 or m = 1, M has one composition at most, and its fit is
 decided once, with no proposals drawn.
 """
@@ -228,8 +228,8 @@ def enumerate_compositions(
 @dataclass(frozen=True)
 class _Level:
     """One mode's frontier of the walk: the units of its distinct states
-    (units, budget left), sorted by both, each with units * lambda_last <=
-    left.
+    (units, budget left), sorted by both (by their key units * (budget +
+    1) + left), each with units * lambda_last <= left.
 
     fit marks the states whose every completion fits (units * lambda_i <=
     left). The others, in state order, can put v = 0..vmax units on the
@@ -257,17 +257,19 @@ def _levels(lams: tuple[int, ...], n: int, budget: int) -> list[_Level]:
     one level per mode from the root (n, budget), up to the penultimate
     mode; [] when nothing fits at all.
 
-    A level's open states expand to their children at once, and equal
-    children merge after one lexsort, so every state of a level is walked
-    once, however many prefixes reach it. The arrays are int64 while every
-    units * lambda and budget left is below 2^63, else object arrays of
-    Python ints.
+    A state (units, left) is the integer key units * (budget + 1) + left,
+    which orders states by both. A level's open states expand to their
+    children at once, and equal children merge after one argsort of their
+    keys, so every state of a level is walked once, however many prefixes
+    reach it. The arrays are int64 while every units * lambda and key is
+    below 2^63, else object arrays of Python ints.
     """
     m = len(lams)
     lmin = lams[-1]
     if n * lmin > budget:
         return []
-    dtype = np.int64 if max(max(n, 1) * lams[0], budget) < 2**63 else object
+    base = budget + 1
+    dtype = np.int64 if max(n * lams[0], (n + 1) * base) < 2**63 else object
     units = np.array([n], dtype=dtype)
     left = np.array([budget], dtype=dtype)
     levels = []
@@ -283,18 +285,18 @@ def _levels(lams: tuple[int, ...], n: int, budget: int) -> list[_Level]:
             levels.append(_Level(units, fit, reps, starts, reps[:0]))
             break
         v = _steps(reps, starts, dtype)
-        kid_units = np.repeat(units[shut], reps) - v
-        kid_left = np.repeat(left[shut], reps) - v * lam
-        order = np.lexsort((kid_left, kid_units))
-        kid_units, kid_left = kid_units[order], kid_left[order]
+        # v units here: units fall by v and left by v * lam <= left, so
+        # both terms stay below the keys' bound (base + lam may not)
+        key = np.repeat(units[shut] * base + left[shut], reps)
+        key -= v * base + v * lam
+        order = np.argsort(key)
+        key = key[order]
         new = np.ones(len(order), dtype=bool)
-        new[1:] = (kid_units[1:] != kid_units[:-1]) | (
-            kid_left[1:] != kid_left[:-1]
-        )
+        new[1:] = key[1:] != key[:-1]
         kids = np.empty(len(order), dtype=np.intp)
         kids[order] = np.cumsum(new) - 1
         levels.append(_Level(units, fit, reps, starts, kids))
-        units, left = kid_units[new], kid_left[new]
+        units, left = key[new] // base, key[new] % base
     return levels
 
 
@@ -631,41 +633,29 @@ def _bar_weights(
     return np.array(diffs, dtype=object), const
 
 
-def _bars_at_threshold(values: np.ndarray, k: int) -> Optional[np.ndarray]:
-    """Column positions of the k smallest values of each row of values, in
-    increasing order: the entries at or below the row's k-th smallest
-    value, read off one value sort and one mask. None when a tie at some
-    row's threshold puts more than k entries under it."""
-    rows, slots = values.shape
+def _word_bars(words: np.ndarray, k: int) -> np.ndarray:
+    """Column positions of the k smallest of the doubles (w >> 11) * 2^-53
+    that Generator.random makes of each row of the raw 64-bit words w, in
+    increasing order.
+
+    They are read off the words' top 32 bits: a smaller key means a
+    smaller double, so the entries at or below a row's k-th smallest key
+    are its bars when there are exactly k of them, found by one key sort
+    and one mask. A block with a tie at some row's threshold rebuilds its
+    doubles exactly and takes argpartition on them, which gives the mask's
+    bars on every row whose doubles do not tie: their k smallest are
+    unique.
+    """
+    rows, slots = words.shape
+    keys = (words >> 32).astype(np.uint32)
     # a copy, so the sorted matrix is freed at once
-    threshold = np.sort(values, axis=1)[:, k - 1].copy()
-    flat = np.flatnonzero(values <= threshold[:, None])
+    threshold = np.sort(keys, axis=1)[:, k - 1].copy()
+    flat = np.flatnonzero(keys <= threshold[:, None])
     if flat.size != rows * k:
-        return None
+        u = (words >> 11) * 2.0**-53
+        return np.sort(np.argpartition(u, k - 1, axis=1)[:, :k], axis=1)
     bars = flat.reshape(rows, k)
     bars -= np.arange(0, rows * slots, slots)[:, None]
-    return bars
-
-
-def _sorted_bars(u: np.ndarray, k: int) -> np.ndarray:
-    """Column positions of the k smallest values of each row of u, in
-    increasing order (`_bars_at_threshold`). A block with a tie at a
-    threshold takes argpartition, which gives the same positions."""
-    bars = _bars_at_threshold(u, k)
-    if bars is None:
-        return np.sort(np.argpartition(u, k - 1, axis=1)[:, :k], axis=1)
-    return bars
-
-
-def _word_bars(words: np.ndarray, k: int) -> np.ndarray:
-    """`_sorted_bars` of the doubles (w >> 11) * 2^-53 that
-    Generator.random makes of the raw 64-bit words w, read off their top
-    32 bits. A smaller key means a smaller double, so a row with exactly k
-    keys at or below its threshold has the doubles' bars. A block with a
-    tie at a threshold in those 32 bits rebuilds its doubles, exactly."""
-    bars = _bars_at_threshold((words >> 32).astype(np.uint32), k)
-    if bars is None:
-        return _sorted_bars((words >> 11) * 2.0**-53, k)
     return bars
 
 

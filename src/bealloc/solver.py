@@ -41,7 +41,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -174,23 +174,18 @@ def mode_offsets(instance: ProblemInstance, beta: float) -> ModeOffsets:
     beta < 0, else lambda_s), so that x_j >= x0 on every mode.
 
     Built once per instance and pole side; d is read-only. Every call
-    runs `check_tilt_range`; an offset past float range, in scaled units,
-    raises its weight-range InputError too.
+    runs `check_tilt_range`, whose lambda_2 bounds every offset, so each
+    exact offset divided by the scale is a float, correctly rounded.
     """
     check_tilt_range(instance, beta)
     memo = instance._offsets_memo
     side = beta < 0
     if side not in memo:
         scaled = instance.mode_weights_scaled()
-        p = 0 if side else len(scaled) - 1
-        offsets = list(map(operator.sub, scaled, repeat(scaled[p])))
-        try:
-            d = np.array(offsets, float)
-        except OverflowError:
-            raise InputError(_WEIGHT_RANGE.format(instance.scale)) from None
-        d /= instance.scale
+        pole = scaled[0 if side else -1]
+        d = np.array([(w - pole) / instance.scale for w in scaled])
         d.flags.writeable = False
-        memo[side] = ModeOffsets(d, Fraction(scaled[p], instance.scale))
+        memo[side] = ModeOffsets(d, Fraction(pole, instance.scale))
     return memo[side]
 
 

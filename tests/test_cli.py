@@ -749,7 +749,8 @@ def test_zcheck_extreme_finite_beta_keeps_its_pole_error(capsys, prices_file):
 
 
 WIDE_OFFSET_PRICES = {
-    # lambda_2 - lambda_3 = 1e303 * 10^6 scaled units: no float
+    # lambda_2 - lambda_3 = 1e303 * 10^6 scaled units, past float range,
+    # and 1e303 real units, within it
     "1e303": ["1", "1e303", "2"],
     # a price of 4300 nines, the longest text int() reads
     "4300 nines": ["1", "9" * 4300, "2"],
@@ -760,10 +761,6 @@ OFFSET_ERROR = "error: mode weights exceed float range at scale 1000000\n"
 OFFSET_CASES = [
     pytest.param(name, flags, OFFSET_ERROR, id=f"{name} {flags[0]} {flags[1]}")
     for name, flags in [
-        ("1e303", ["solve", "--budget", "20"]),
-        ("1e303", ["enumerate", "--budget", "20", "--l", "2"]),
-        ("1e303", ["zcheck", "--budget", "20"]),
-        ("1e303", ["zcheck", "--beta", "0.5"]),
         ("4300 nines", ["solve", "--budget", "20"]),
         ("4300 nines", ["zcheck", "--budget", "20"]),
         # lambda_2 itself is past float range here
@@ -785,6 +782,27 @@ def test_mode_offsets_past_float_range_are_an_input_error(
          "--max-shares", "4", *rest],
     )
     assert (code, out, err) == (4, "", message)
+
+
+@pytest.mark.parametrize("flags", [
+    ["solve", "--budget", "2e303"],
+    ["enumerate", "--budget", "2e303", "--l", "2"],
+    ["zcheck", "--budget", "2e303"],
+    ["zcheck", "--beta", "0.5"],
+], ids=lambda flags: f"1e303 {flags[0]} {flags[1]}")
+def test_offsets_within_float_range_are_fitted(capsys, tmp_path, flags):
+    # each exact scaled offset is divided by the scale, so the offsets
+    # are floats although lambda_2 - lambda_3 in scaled units is not
+    path = tmp_path / "wide.csv"
+    path.write_text("".join(f"{p}\n" for p in WIDE_OFFSET_PRICES["1e303"]))
+    command, *rest = flags
+    code, out, err = run(
+        capsys,
+        [command, "--prices", str(path), "--min-shares", "0",
+         "--max-shares", "4", *rest],
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["command"] == command
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

@@ -2,9 +2,11 @@
 
 Every public function with a beta, nu, sigma, epsilon or params parameter
 is called at extreme values of those parameters, on small cent-priced
-instances and on instances whose weights or energies sit at the edge of
-float range. Each call must return finite fields or raise an AllocError,
-with warnings turned into errors.
+instances, on instances whose weights or energies sit at the edge of
+float range and on a price at the 4300-digit limit of int(). The index l
+is drawn from 2..s and the quadrature grid from GRIDS. Each call must
+return finite fields or raise an AllocError, with warnings turned into
+errors.
 """
 
 import dataclasses
@@ -26,31 +28,40 @@ VALUES = [
     0.0, 1e-300, -1e-300, 0.5, -0.5, 1e306, -1e306, 3e307, 1e308, -1e308,
     math.inf, -math.inf, math.nan,
 ]
+# the smallest grid, one that is not a power of two, and the default
+GRIDS = [64, 1000, 4096]
 
 
 def params(beta, sigma):
     return ThermoParams(beta, sigma, 0.0, 0.0)
 
 
-# One call per entry point, from an instance and the values of its fuzzed
-# scalars (params counts as beta and sigma).
+def index(inst, rng):
+    """An index l in 2..s."""
+    return rng.randint(2, inst.size)
+
+
+# One call per entry point, from an instance, a seeded random.Random for
+# the index and the grid, and the values of its fuzzed scalars (params
+# counts as beta and sigma).
 ENTRY_POINTS = {
     "build_allocation":
-        lambda inst, b, s: bealloc.build_allocation(inst, params(b, s)),
-    "cumulative_stats": lambda inst, b, s, e: bealloc.cumulative_stats(
-        inst, params(b, s), 2, e),
+        lambda inst, _, b, s: bealloc.build_allocation(inst, params(b, s)),
+    "cumulative_stats": lambda inst, rng, b, s, e: bealloc.cumulative_stats(
+        inst, params(b, s), index(inst, rng), e),
     "grand_partition":
-        lambda inst, b, nu: bealloc.grand_partition(inst, b, nu),
+        lambda inst, _, b, nu: bealloc.grand_partition(inst, b, nu),
     "low_energy_shell_weight":
-        lambda inst, b, e: bealloc.low_energy_shell_weight(inst, b, e),
-    "occupancy": lambda inst, b, s: bealloc.occupancy(b, s, 1.5),
-    "predicted_cumulative":
-        lambda inst, b, s: bealloc.predicted_cumulative(inst, params(b, s), 2),
-    "saddle_nu": lambda inst, b: bealloc.saddle_nu(inst, b),
-    "solve_sigma": lambda inst, b: bealloc.solve_sigma(inst, b),
-    "z_exact": lambda inst, b: bealloc.z_exact(inst, b),
-    "z_integral": lambda inst, b, nu: bealloc.z_integral(inst, b, nu, 64),
-    "z_saddle": lambda inst, b: bealloc.z_saddle(inst, b),
+        lambda inst, _, b, e: bealloc.low_energy_shell_weight(inst, b, e),
+    "occupancy": lambda inst, _, b, s: bealloc.occupancy(b, s, 1.5),
+    "predicted_cumulative": lambda inst, rng, b, s:
+        bealloc.predicted_cumulative(inst, params(b, s), index(inst, rng)),
+    "saddle_nu": lambda inst, _, b: bealloc.saddle_nu(inst, b),
+    "solve_sigma": lambda inst, _, b: bealloc.solve_sigma(inst, b),
+    "z_exact": lambda inst, _, b: bealloc.z_exact(inst, b),
+    "z_integral": lambda inst, rng, b, nu:
+        bealloc.z_integral(inst, b, nu, rng.choice(GRIDS)),
+    "z_saddle": lambda inst, _, b: bealloc.z_saddle(inst, b),
 }
 
 
@@ -65,6 +76,10 @@ def instances():
     yield build_instance(["1e300", "5e299", "1"], 0, 50, "1e301", scale=1)
     # lambda_2 itself is past float range
     yield build_instance(["1e309", "1e309"], 0, 2, "3e309", scale=1)
+    # offsets past float range in scaled units, within it in real ones
+    yield build_instance(["1", "1e303", "2"], 0, 4, "2e303")
+    # a price of 4300 nines, the longest text int() reads
+    yield build_instance(["1", "9" * 4300, "2"], 0, 4, "20")
 
 
 def finite(value) -> bool:
@@ -82,7 +97,7 @@ def finite(value) -> bool:
 
 
 def fuzzed_arity(call) -> int:
-    return len(inspect.signature(call).parameters) - 1
+    return len(inspect.signature(call).parameters) - 2
 
 
 def test_fuzz_lists_every_public_entry_point():
@@ -112,7 +127,7 @@ def test_entry_points_return_finite_values_or_typed_errors():
                 for head in itertools.product(VALUES, repeat=min(arity, 2)):
                     args = (*head, *rng.choices(VALUES, k=arity - len(head)))
                     try:
-                        ok = finite(call(inst, *args))
+                        ok = finite(call(inst, rng, *args))
                         failure = "non-finite result"
                     except AllocError:
                         ok = True

@@ -420,17 +420,31 @@ def huge_weight_instance():
 
 
 def test_walk_leaves_int64_at_its_bounds():
-    # n * lambda_2 = 2^63 - 2 keeps the states int64, 2^63 takes Python
-    # ints; both must count and histogram exactly
-
-    for lam2, dtype in ((2**62 - 1, np.int64), (2**62, object)):
-        inst = build_instance(["1", str(lam2 - 1), "1"], 0, 2, str(2**62),
-                              scale=1)
-        assert inst.n * inst.mode_weights_scaled()[0] == 2 * lam2
+    # the states are int64 while n * lambda_2 and (n + 1) * (budget + 1),
+    # a bound on every key units * (budget + 1) + left, are below 2^63,
+    # and Python ints from 2^63 on; both sides must count and histogram
+    # exactly
+    def check(inst, dtype):
         levels = _levels(inst.mode_weights_scaled(), inst.n,
                          inst.effective_budget_scaled())
-        assert levels[0].units.dtype == dtype
+        assert {level.units.dtype for level in levels} == {np.dtype(dtype)}
         assert_ensembles_match(inst)
+
+    for lam2, dtype in ((2**62 - 1, np.int64), (2**62, object)):
+        # n * lambda_2 = 2^63 - 2 or 2^63, keys below 3 * (2^61 + 1)
+        inst = build_instance(["1", str(lam2 - 1), "1"], 0, 2, str(2**61),
+                              scale=1)
+        assert inst.n * inst.mode_weights_scaled()[0] == 2 * lam2
+        check(inst, dtype)
+    # equal prices give equal weight steps, so children merge
+    price = 2**56
+    for budget, dtype in ((2**60 - 2, np.int64), (2**60 - 1, object)):
+        # (n + 1) * (budget + 1) = 2^63 - 8 or 2^63, n * lambda_2 below
+        inst = build_instance([str(price)] * 6, 0, 7, str(budget), scale=1)
+        assert inst.mode_weights_scaled()[0] == 5 * price
+        assert inst.n * 5 * price < 2**63
+        assert (inst.n + 1) * (budget + 1) in (2**63 - 8, 2**63)
+        check(inst, dtype)
     # the counts compare max(n, 1) * comb(n + m - 1, m - 1) with 2^63:
     # n at m = 1, and n * (n + 1) at m = 2
     assert _count_dtype(2**63 - 1, 1) is np.int64
@@ -983,6 +997,12 @@ def test_sampler_matches_the_row_loop(case):
             result.parts[0, 0] = 1
 
 
+def argpartition_bars(u, k):
+    """The reference row loop's bars: the sorted positions of the k
+    smallest values of each row of u, by argpartition."""
+    return np.sort(np.argpartition(u, k - 1, axis=1)[:, :k], axis=1)
+
+
 def test_raw_words_make_the_generators_doubles():
     # Generator.random turns each raw word w into (w >> 11) * 2^-53, in
     # the same order, and the 32-bit keys give the doubles' bars
@@ -992,7 +1012,7 @@ def test_raw_words_make_the_generators_doubles():
         u = np.random.default_rng(seed).random(shape)
         assert np.array_equal((words >> 11) * 2.0**-53, u)
         assert np.array_equal(
-            oracle._word_bars(words, k), oracle._sorted_bars(u, k)
+            oracle._word_bars(words, k), argpartition_bars(u, k)
         )
 
 
@@ -1027,16 +1047,16 @@ class TiedBitGenerator:
 
 def tied_sampler_calls(monkeypatch, inst, low_bits):
     """Patch numpy's generator with TiedBitGenerator and count the calls of
-    oracle._sorted_bars and np.argpartition, by name."""
+    np.argpartition."""
     real_rng = np.random.default_rng
+    real_argpartition = np.argpartition
     calls = []
-    for owner, name in ((oracle, "_sorted_bars"), (np, "argpartition")):
-        def counting(*args, _real=getattr(owner, name), _name=name,
-                     **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, counting)
+    def counting(*args, **kwargs):
+        calls.append("argpartition")
+        return real_argpartition(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argpartition", counting)
     monkeypatch.setattr(
         np.random, "default_rng",
         lambda seed: TiedBitGenerator(real_rng, seed, inst.size - 2,
@@ -1048,21 +1068,23 @@ def tied_sampler_calls(monkeypatch, inst, low_bits):
 def test_sampler_takes_argpartition_on_a_tie_at_the_threshold(monkeypatch):
     # two chunks of 20,000 proposals (acceptance ~0.13) in blocks of
     # oracle._CELLS words: the tied first block holds m keys and m doubles
-    # at or below row 0's threshold, one too many for either mask, and
-    # takes argpartition; no other block does
+    # at or below row 0's threshold, one too many for the mask, and takes
+    # argpartition on its doubles; no other block does
     inst = random_instance(random.Random(21), 12, 12)
     m = inst.size - 1
-    real_argpartition = np.argpartition
     calls = tied_sampler_calls(monkeypatch, inst, low_bits=False)
-    u = np.random.default_rng(3).random((4, inst.n + m - 1))
+    words = np.random.default_rng(3).bit_generator.random_raw(
+        (4, inst.n + m - 1)
+    )
+    u = (words >> 11) * 2.0**-53
     threshold = np.sort(u, axis=1)[:, m - 2]
     assert np.count_nonzero(u <= threshold[:, None]) == 4 * (m - 1) + 1
-    assert oracle._sorted_bars(u, m - 1).tolist() == np.sort(
-        real_argpartition(u, m - 2, axis=1)[:, : m - 1], axis=1
-    ).tolist()
+    bars = oracle._word_bars(words, m - 1)
+    assert calls == ["argpartition"]
+    assert np.array_equal(bars, argpartition_bars(u, m - 1))
     calls.clear()
     result = sample_uniform(inst, 3000, seed=5)
-    assert calls.count("argpartition") == 1
+    assert calls == ["argpartition"]
     comps, rate = reference_sample(inst, 3000, 5)
     assert result.acceptance_rate == rate
     assert result.compositions == comps
@@ -1070,8 +1092,8 @@ def test_sampler_takes_argpartition_on_a_tie_at_the_threshold(monkeypatch):
 
 def test_sampler_rebuilds_the_doubles_on_a_tie_of_the_keys(monkeypatch):
     # row 0 of the first block ties at its threshold in the top 32 bits
-    # only: that block sorts its doubles, which do not tie, and no block
-    # takes argpartition
+    # only: that block rebuilds its doubles, which do not tie, and takes
+    # argpartition on them; no other block does
     inst = random_instance(random.Random(21), 12, 12)
     m = inst.size - 1
     calls = tied_sampler_calls(monkeypatch, inst, low_bits=True)
@@ -1085,7 +1107,7 @@ def test_sampler_rebuilds_the_doubles_on_a_tie_of_the_keys(monkeypatch):
     threshold = np.sort(u, axis=1)[:, m - 2]
     assert np.count_nonzero(u <= threshold[:, None]) == 4 * (m - 1)
     result = sample_uniform(inst, 3000, seed=5)
-    assert calls == ["_sorted_bars"]
+    assert calls == ["argpartition"]
     comps, rate = reference_sample(inst, 3000, 5)
     assert result.acceptance_rate == rate
     assert result.compositions == comps

@@ -3,7 +3,10 @@
 `report_diff.py OLD_SRC NEW_SRC --seeds 1 2 3 --argv verify` runs the
 `solve` and `exact` pools of each seed (perfbench/workloads.py) and one job
 per --argv line through `bealloc.cli.main` in process, one fresh
-interpreter per tree. Exits 1 if an exit code, stdout or stderr differs."""
+interpreter per tree. It also runs the paths no pool job takes: the exact
+`verify` (the shell weight's sweep) and, per crosscheck instance, a
+count-only `enumerate` (`count_configurations`). Exits 1 if an exit code,
+stdout or stderr differs."""
 
 import argparse
 import json
@@ -42,12 +45,15 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     parser.add_argument("--argv", action="append", default=[])
     args = parser.parse_args()
-    jobs = {line: line.split() for line in args.argv}
+    jobs = {line: line.split() for line in ["verify", *args.argv]}
     with tempfile.TemporaryDirectory() as tmp:
         for workload, seed in product(WORKLOADS, args.seeds):
             (workdir := Path(tmp, f"{workload}-{seed}")).mkdir()
-            jobs.update((f"{workload} seed {seed} {job.id}", list(job.argv))
-                        for job in build_pool(workload, seed, workdir))
+            for job in build_pool(workload, seed, workdir):
+                argv = list(job.argv)
+                jobs[f"{workload} seed {seed} {job.id}"] = argv
+                if job.kind == "enumerate":  # the same instance, counted
+                    jobs[f"count {job.id}"] = argv[: argv.index("--l")]
         old, new = (run(src, list(jobs.values())) for src in args.trees)
     differ = [f"{name}: {', '.join(k for k in a if a[k] != b[k])} differ"
               for name, a, b in zip(jobs, old, new) if a != b]
