@@ -12,10 +12,11 @@ per mode: the distinct states (units, budget left) as a pair of numpy
 arrays. The open states expand to all their children at once, and equal
 children merge after one argsort per level of one integer key per child,
 units * (budget + 1) + left, so a state reached by many prefixes is walked
-once. The state arrays are int64 while units * lambda and the key fit,
-and the count arrays while every count and total fits; past its bound
-each is an object array of Python ints, chosen by one comparison
-(`_levels`, `_count_dtype`).
+once; where int64 keys could pass 2^63, the rank of left among the
+level's children stands for left. The state arrays are int64 while
+units * lambda and the budget fit, and the count arrays while every
+count and total fits; past its bound each is an object array of Python
+ints, chosen by one comparison (`_levels`, `_count_dtype`).
 
 The sweep's aggregates are read off its levels. The count |M| sums
 completion counts back from the last level, with stars-and-bars binomials
@@ -261,15 +262,17 @@ def _levels(lams: tuple[int, ...], n: int, budget: int) -> list[_Level]:
     which orders states by both. A level's open states expand to their
     children at once, and equal children merge after one argsort of their
     keys, so every state of a level is walked once, however many prefixes
-    reach it. The arrays are int64 while every units * lambda and key is
-    below 2^63, else object arrays of Python ints.
+    reach it. The arrays are int64 while units * lambda and the budget fit,
+    else object arrays of Python ints; where an int64 key could reach
+    2^63, the rank of left among the level's children stands for left.
     """
     m = len(lams)
     lmin = lams[-1]
     if n * lmin > budget:
         return []
     base = budget + 1
-    dtype = np.int64 if max(n * lams[0], (n + 1) * base) < 2**63 else object
+    dtype = np.int64 if max(max(n, 1) * lams[0], budget) < 2**63 else object
+    ranked = dtype is np.int64 and (n + 1) * base >= 2**63
     units = np.array([n], dtype=dtype)
     left = np.array([budget], dtype=dtype)
     levels = []
@@ -285,10 +288,11 @@ def _levels(lams: tuple[int, ...], n: int, budget: int) -> list[_Level]:
             levels.append(_Level(units, fit, reps, starts, reps[:0]))
             break
         v = _steps(reps, starts, dtype)
-        # v units here: units fall by v and left by v * lam <= left, so
-        # both terms stay below the keys' bound (base + lam may not)
-        key = np.repeat(units[shut] * base + left[shut], reps)
-        key -= v * base + v * lam
+        key = np.repeat(left[shut], reps) - v * lam
+        if ranked:
+            values, key = np.unique(key, return_inverse=True)
+            base = len(values)
+        key += (np.repeat(units[shut], reps) - v) * base
         order = np.argsort(key)
         key = key[order]
         new = np.ones(len(order), dtype=bool)
@@ -297,6 +301,8 @@ def _levels(lams: tuple[int, ...], n: int, budget: int) -> list[_Level]:
         kids[order] = np.cumsum(new) - 1
         levels.append(_Level(units, fit, reps, starts, kids))
         units, left = key[new] // base, key[new] % base
+        if ranked:
+            left = values[left]
     return levels
 
 

@@ -805,6 +805,27 @@ def test_offsets_within_float_range_are_fitted(capsys, tmp_path, flags):
     assert json.loads(out)["command"] == command
 
 
+@pytest.mark.parametrize("flags", [
+    ["solve"], ["enumerate", "--l", "2"], ["zcheck"],
+], ids=lambda flags: f"1e303 {flags[0]}")
+def test_offsets_within_float_range_do_not_converge_at_a_low_budget(
+    capsys, tmp_path, flags
+):
+    # a known defect, pinned so that its mend shows: E = 20 lies strictly
+    # inside [n * lambda_s, n * lambda_2], so the law exists, but the dual
+    # Newton stops with NoConvergence (exit 3) on this weight ratio; the
+    # mend should make these exit 0 (CHANGES.md, FOUND on solve_params)
+    path = tmp_path / "wide.csv"
+    path.write_text("".join(f"{p}\n" for p in WIDE_OFFSET_PRICES["1e303"]))
+    code, out, err = run(
+        capsys,
+        [*flags, "--prices", str(path), "--min-shares", "0",
+         "--max-shares", "4", "--budget", "20"],
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: dual Newton residual ")
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="this Python's int() has no digit limit")
 @pytest.mark.parametrize("flags", [

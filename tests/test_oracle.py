@@ -420,10 +420,9 @@ def huge_weight_instance():
 
 
 def test_walk_leaves_int64_at_its_bounds():
-    # the states are int64 while n * lambda_2 and (n + 1) * (budget + 1),
-    # a bound on every key units * (budget + 1) + left, are below 2^63,
-    # and Python ints from 2^63 on; both sides must count and histogram
-    # exactly
+    # the states are int64 while max(n, 1) * lambda_2 and the budget are
+    # below 2^63, and Python ints from 2^63 on; both sides must count and
+    # histogram exactly
     def check(inst, dtype):
         levels = _levels(inst.mode_weights_scaled(), inst.n,
                          inst.effective_budget_scaled())
@@ -431,20 +430,26 @@ def test_walk_leaves_int64_at_its_bounds():
         assert_ensembles_match(inst)
 
     for lam2, dtype in ((2**62 - 1, np.int64), (2**62, object)):
-        # n * lambda_2 = 2^63 - 2 or 2^63, keys below 3 * (2^61 + 1)
-        inst = build_instance(["1", str(lam2 - 1), "1"], 0, 2, str(2**61),
-                              scale=1)
-        assert inst.n * inst.mode_weights_scaled()[0] == 2 * lam2
-        check(inst, dtype)
-    # equal prices give equal weight steps, so children merge
+        # n * lambda_2 = 2^63 - 2 or 2^63, at budgets whose keys
+        # units * (budget + 1) + left stay below 2^63 and pass it
+        for budget in (2**61, 2**62):
+            inst = build_instance(["1", str(lam2 - 1), "1"], 0, 2,
+                                  str(budget), scale=1)
+            assert inst.n * inst.mode_weights_scaled()[0] == 2 * lam2
+            check(inst, dtype)
+    # n = 0 with lambda_2 >= 2^63: units * lambda_2 must not meet int64
+    inst = build_instance(["1", "1e13", "1"], 2, 2, "20000000000004")
+    assert inst.n == 0 and inst.mode_weights_scaled()[0] >= 2**63
+    assert count_configurations(inst) == 1
+    check(inst, object)
+    # equal prices give equal weight steps, so children merge; from
+    # (n + 1) * (budget + 1) = 2^63 on, a child's key ranks its budget left
     price = 2**56
-    for budget, dtype in ((2**60 - 2, np.int64), (2**60 - 1, object)):
-        # (n + 1) * (budget + 1) = 2^63 - 8 or 2^63, n * lambda_2 below
+    for budget in (2**60 - 2, 2**60 - 1):
         inst = build_instance([str(price)] * 6, 0, 7, str(budget), scale=1)
         assert inst.mode_weights_scaled()[0] == 5 * price
-        assert inst.n * 5 * price < 2**63
         assert (inst.n + 1) * (budget + 1) in (2**63 - 8, 2**63)
-        check(inst, dtype)
+        check(inst, np.int64)
     # the counts compare max(n, 1) * comb(n + m - 1, m - 1) with 2^63:
     # n at m = 1, and n * (n + 1) at m = 2
     assert _count_dtype(2**63 - 1, 1) is np.int64
